@@ -100,10 +100,10 @@ def run_sharding_benchmark(
     # factory, same plan builder), one process.
     local_context = build_worker_context(config.worker_config())
     started = time.perf_counter()
-    local_docs, _ = run_spec_locally(local_context, documents, spec)
+    local_docs, local_stats = run_spec_locally(local_context, documents, spec)
     single_wall = time.perf_counter() - started
     local_bytes = _docset_bytes(local_docs)
-    local_calls = local_context.cost_tracker.summary().calls
+    local_calls = local_stats.cost.llm_calls
     if local_context.scheduler is not None:
         local_context.scheduler.close(drain=False)
     local_context.close()

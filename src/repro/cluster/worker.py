@@ -9,9 +9,10 @@ with the coordinator but the task/result queues; this is the paper's
 shared-nothing Ray-worker shape scaled down to ``multiprocessing``.
 
 Byte-identity with local execution is structural, not tested-in:
-:func:`run_spec_locally` is the *only* implementation of a shard plan,
-used both by workers and by the single-process baseline, and it builds
-its pipeline from the same transform factories Luna's operators use.
+:func:`build_shard_plan` is the *only* implementation of a shard plan,
+used both by workers and by the single-process baseline
+(:func:`run_spec_locally`), and it builds its pipeline from the same
+transform factories Luna's operators use.
 
 The main loop is deliberately boring: bounded queue waits (so shutdown
 and the lint rule's timeout discipline both hold), a ``None`` sentinel
@@ -130,10 +131,10 @@ def run_spec_locally(
 ) -> Tuple[List[Document], Optional[ExecutionStats]]:
     """Run a shard spec over documents in the calling process.
 
-    This one function is both the worker's shard body and the
-    single-process baseline — shared code, so sharded output can only
-    differ from local output through partitioning or merging bugs, both
-    of which the cluster tests pin down directly.
+    The single-process baseline builds its plan exactly as a worker does,
+    so sharded output can only differ from local output through
+    partitioning or merging bugs, both of which the cluster tests pin
+    down directly.
     """
     executor = context.executor(on_error=on_error)
     output = executor.take_all(build_shard_plan(context, documents, spec, priority))
@@ -174,7 +175,6 @@ def execute_envelope(
         os._exit(137)
 
     started = time.monotonic()
-    before = context.cost_tracker.summary()
 
     scope: Optional[CancelScope] = None
     if envelope.budget_s is not None:
@@ -204,11 +204,14 @@ def execute_envelope(
         injected_backend = context.llm.backend
         context.llm.backend = injector.wrap_llm(injected_backend)
 
+    # Its running cost account reports a failed shard's spend too.
+    executor = context.executor(on_error=config.on_error)
     try:
         with attach_scope(scope):
-            documents, stats = run_spec_locally(
-                context, envelope.documents, envelope.spec, on_error=config.on_error
+            documents = executor.take_all(
+                build_shard_plan(context, envelope.documents, envelope.spec)
             )
+        stats = executor.last_stats
         position_of = {
             document.doc_id: position
             for document, position in zip(envelope.documents, envelope.positions)
@@ -248,10 +251,11 @@ def execute_envelope(
         if injected_backend is not None:
             context.llm.backend = injected_backend
 
-    after = context.cost_tracker.summary()
     result.wall_s = time.monotonic() - started
-    result.llm_calls = after.calls - before.calls
-    result.cost_usd = after.cost_usd - before.cost_usd
+    cost = executor.last_stats.cost if executor.last_stats is not None else None
+    if cost is not None:
+        result.llm_calls = cost.llm_calls
+        result.cost_usd = cost.cost_usd
     return result
 
 

@@ -23,7 +23,7 @@ from ..lifecycle.deadline import (
     check_scope,
     current_scope,
 )
-from ..observability.cost import CostAccount
+from ..observability.cost import CostAccount, open_account
 from ..observability.metrics import MetricsRegistry, get_registry
 from ..observability.tracing import Span, Tracer
 from .lineage import Lineage
@@ -89,9 +89,8 @@ class ExecutionStats:
     #: execution (submitted, completed, dedup hits, batches, ...) when
     #: the executor runs against a :class:`repro.runtime.RequestScheduler`.
     scheduler: Optional[Dict[str, Any]] = None
-    #: Cost rollup derived from this execution's trace spans, when the
-    #: executor was constructed with a tracer. Same arithmetic as the
-    #: JSON trace export (both come from :meth:`CostAccount.from_spans`).
+    #: Running cost account of this execution's ``plan`` span, charged as
+    #: its LLM requests finish, when the executor has a tracer.
     cost: Optional[CostAccount] = None
 
     def node(self, name: str) -> NodeStats:
@@ -144,8 +143,8 @@ class Executor:
         node; task functions run *under* their node's transform span
         (attached per call; parallel submissions each carry their own
         copied :mod:`contextvars` context), so any LLM request spans
-        they open become its descendants. ``ExecutionStats.cost`` is
-        rolled up from the execution's spans on completion.
+        they open become its descendants. ``ExecutionStats.cost`` is the
+        plan span's running cost account.
     registry:
         :class:`~repro.observability.MetricsRegistry` for aggregate
         record/retry counters (default: the process registry).
@@ -200,19 +199,18 @@ class Executor:
             plan_span = self.tracer.start_span(
                 f"execute:{plan.node.name}", kind="plan", root=plan.node.name
             )
+            stats.cost = open_account(plan_span)
             with self.tracer.attach(plan_span):
                 iterator = self._run_node(plan.node, stats)
-            iterator = self._finish_plan_span(iterator, plan_span, stats)
+            iterator = self._finish_plan_span(iterator, plan_span)
         else:
             iterator = self._run_node(plan.node, stats)
         if self.scheduler is None:
             return iterator
         return self._track_scheduler(iterator, stats, self.scheduler.metrics())
 
-    def _finish_plan_span(
-        self, iterator: Iterator[Any], span: Span, stats: ExecutionStats
-    ) -> Iterator[Any]:
-        """Close the plan span when iteration ends and roll up its cost."""
+    def _finish_plan_span(self, iterator: Iterator[Any], span: Span) -> Iterator[Any]:
+        """Close the plan span when iteration ends."""
         assert self.tracer is not None
         try:
             yield from iterator
@@ -226,26 +224,6 @@ class Executor:
             raise
         else:
             self.tracer.finish(span)
-        finally:
-            stats.cost = CostAccount.from_spans(self._descendant_spans(span))
-
-    def _descendant_spans(self, root: Span) -> List[Span]:
-        """``root`` plus its descendants, from the tracer's span log.
-
-        The plan span may share a trace with a surrounding query span;
-        cost accounting for *this* execution only wants its subtree.
-        """
-        assert self.tracer is not None
-        trace = self.tracer.trace_spans(root.trace_id)
-        keep = {root.span_id}
-        selected = [root]
-        for span in trace:  # span log is in creation order: parents first
-            if span.span_id in keep:
-                continue
-            if span.parent_id in keep:
-                keep.add(span.span_id)
-                selected.append(span)
-        return selected
 
     def _track_scheduler(
         self, iterator: Iterator[Any], stats: ExecutionStats, before: Dict[str, Any]

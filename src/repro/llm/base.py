@@ -110,6 +110,14 @@ def get_model_spec(name: str) -> ModelSpec:
         ) from None
 
 
+def price_usd(model: str, usage: "Usage") -> float:
+    """List price of one response; 0.0 for a model with no price card."""
+    spec = DEFAULT_MODELS.get(model)
+    if spec is None:
+        return 0.0
+    return spec.cost_usd(usage.input_tokens, usage.output_tokens)
+
+
 @dataclass
 class Usage:
     """Token usage of one or more calls (additive)."""

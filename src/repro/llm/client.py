@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..lifecycle.deadline import check_scope, remaining_budget
 from ..observability.metrics import MetricsRegistry, get_registry
 from ..observability.tracing import Span, Tracer
-from .base import LLMClient, LLMResponse, get_model_spec
+from .base import LLMClient, LLMResponse, price_usd
 from .cost import CostTracker
 from .errors import (
     CircuitOpenError,
@@ -505,11 +505,7 @@ class ReliableLLM(LLMClient):
     ) -> None:
         """Publish one served response into the registry (and its span)."""
         usage = response.usage
-        try:
-            spec = get_model_spec(response.model)
-            full_cost = spec.cost_usd(usage.input_tokens, usage.output_tokens)
-        except Exception:  # unknown model: no price card
-            full_cost = 0.0
+        full_cost = price_usd(response.model, usage)
         cost = 0.0 if response.cached else full_cost
         saved = full_cost if response.cached else 0.0
         self._m_requests.inc()

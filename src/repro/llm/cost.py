@@ -12,7 +12,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from .base import ModelSpec, Usage, get_model_spec
+from .base import Usage, price_usd
 
 
 @dataclass
@@ -25,7 +25,6 @@ class CallRecord:
     cost_usd: float
     latency_s: float
     cached: bool = False
-    tag: str = ""
 
 
 @dataclass
@@ -46,10 +45,11 @@ class CostSummary:
 
 
 class CostTracker:
-    """Thread-safe ledger of LLM usage.
+    """Thread-safe billing ledger of a backend's LLM usage.
 
-    Calls may be tagged (e.g. with the query-plan operator that issued
-    them) so per-operator traces can show where the money went.
+    It answers "what did this backend bill in total"; a query's share is
+    its span's :class:`~repro.observability.CostAccount`, not a diff of
+    this ledger (other threads bill here too).
     """
 
     def __init__(self) -> None:
@@ -62,12 +62,9 @@ class CostTracker:
         usage: Usage,
         latency_s: float,
         cached: bool = False,
-        tag: str = "",
-        spec: Optional[ModelSpec] = None,
     ) -> CallRecord:
         """Record one call. Cached calls cost nothing and take no time."""
-        spec = spec or get_model_spec(model)
-        cost = 0.0 if cached else spec.cost_usd(usage.input_tokens, usage.output_tokens)
+        cost = 0.0 if cached else price_usd(model, usage)
         record = CallRecord(
             model=model,
             input_tokens=usage.input_tokens,
@@ -75,7 +72,6 @@ class CostTracker:
             cost_usd=cost,
             latency_s=0.0 if cached else latency_s,
             cached=cached,
-            tag=tag,
         )
         with self._lock:
             self._records.append(record)
@@ -91,12 +87,10 @@ class CostTracker:
         with self._lock:
             self._records.clear()
 
-    def summary(self, tag: Optional[str] = None, model: Optional[str] = None) -> CostSummary:
-        """Aggregate, optionally filtered by tag and/or model."""
+    def summary(self, model: Optional[str] = None) -> CostSummary:
+        """Aggregate, optionally filtered by model."""
         result = CostSummary()
         for record in self.records():
-            if tag is not None and record.tag != tag:
-                continue
             if model is not None and record.model != model:
                 continue
             result.calls += 1
@@ -112,8 +106,3 @@ class CostTracker:
         """Per-model aggregate summaries."""
         models = {record.model for record in self.records()}
         return {name: self.summary(model=name) for name in sorted(models)}
-
-    def by_tag(self) -> Dict[str, CostSummary]:
-        """Per-tag aggregate summaries."""
-        tags = {record.tag for record in self.records()}
-        return {name: self.summary(tag=name) for name in sorted(tags)}

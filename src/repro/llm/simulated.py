@@ -125,7 +125,7 @@ class SimulatedLLM(LLMClient):
             time.sleep(latency * self.real_latency_scale)
         response = LLMResponse(text=text, model=model, usage=usage, latency_s=latency)
         if self.tracker is not None:
-            self.tracker.record(model, usage, latency, spec=spec)
+            self.tracker.record(model, usage, latency)
         return response
 
     def _generate(self, prompt: str, model: str, quality: float, temperature: float) -> str:

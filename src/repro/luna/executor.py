@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 from ..docmodel.document import Document
 from ..execution.plan import Plan
 from ..lifecycle.deadline import DeadlineExceeded, QueryCancelled, check_scope
-from ..observability.cost import CostAccount
+from ..observability.cost import CostAccount, open_account
 from ..runtime import Priority
 from ..sycamore import aggregates
 from ..sycamore.context import SycamoreContext
@@ -97,8 +97,9 @@ class ExecutionTrace:
     #: query ran untraced); feed it to ``Tracer.trace_spans`` or the
     #: ``python -m repro trace`` command.
     trace_id: str = ""
-    #: Span-derived per-operator cost rollup (tokens, dollars, retries,
-    #: cache/dedup savings). Same arithmetic as the JSON trace export.
+    #: The query span's running per-operator cost account (tokens,
+    #: dollars, retries, cache/dedup savings), charged as its LLM requests
+    #: finish. Same attribution rule as the JSON trace export.
     cost: Optional[CostAccount] = None
     #: Nodes freshly executed this run vs. replayed from a journal
     #: checkpoint — the counters the chaos-recovery gate asserts on.
@@ -157,7 +158,7 @@ LUNA_ERROR_POLICIES = ("fail", "skip", "dead_letter")
 class _NodeStats:
     """Per-node failure-containment and spend stats, merged from the
     DocSet execution layer and (when a node scattered across the
-    cluster) worker-side counters the parent cost tracker never saw."""
+    cluster) worker-side counters the parent's spans never saw."""
 
     dead_lettered: int = 0
     skipped: int = 0
@@ -247,12 +248,12 @@ class LunaExecutor:
                     )
                 )
                 continue
-            before = self.context.cost_tracker.summary()
             start = time.perf_counter()
             self._last_plan_stats = None
             self._last_cluster_stats = None
             error: Optional[str] = None
             op_span = None
+            spent = CostAccount()
             if tracer is not None:
                 # op[i] names are unique per plan node, so two operators
                 # with the same operation roll up separately in the
@@ -263,6 +264,7 @@ class LunaExecutor:
                     operation=node.operation,
                     description=node.description,
                 )
+                spent = open_account(op_span)
                 trace.trace_id = trace.trace_id or op_span.trace_id
             try:
                 check_scope()
@@ -319,7 +321,6 @@ class LunaExecutor:
                 error = f"{type(exc).__name__}: {exc}"
                 output = inputs[0] if inputs else []
             duration = time.perf_counter() - start
-            after = self.context.cost_tracker.summary()
             if op_span is not None:
                 op_span.set_attributes(
                     records_in=_count_records(inputs[0]) if inputs else 0,
@@ -352,8 +353,8 @@ class LunaExecutor:
                     records_in=_count_records(inputs[0]) if inputs else 0,
                     records_out=_count_records(output),
                     duration_s=duration,
-                    llm_cost_usd=after.cost_usd - before.cost_usd + node_stats.cost_usd,
-                    llm_calls=after.calls - before.calls + node_stats.llm_calls,
+                    llm_cost_usd=spent.cost_usd + node_stats.cost_usd,
+                    llm_calls=spent.llm_calls + node_stats.llm_calls,
                     result_preview=_preview(output),
                     document_ids=_document_ids(output),
                     dead_lettered=node_stats.dead_lettered,

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from ..analysis.plancheck import ensure_valid_plan
 from ..lifecycle.journal import JournalError, QueryJournal, plan_json_fingerprint
-from ..observability.cost import CostAccount
+from ..observability.cost import CostAccount, open_account
 from ..sycamore.context import SycamoreContext
 from .codegen import generate_code
 from .executor import ExecutionTrace, LunaExecutor
@@ -64,7 +64,7 @@ class LunaResult:
             f"cost: ${self.trace.total_cost_usd():.4f}",
         ]
         if self.trace.cost is not None and self.trace.cost.operators:
-            parts += ["", "Cost account (from trace spans):", self.trace.cost.render()]
+            parts += ["", "Cost account:", self.trace.cost.render()]
         if self.trace.optimizer_report is not None:
             parts += ["", self.trace.optimizer_report.render()]
         if self.trace.trace_id:
@@ -172,15 +172,17 @@ class Luna:
         named_index = self.context.catalog.get(index)
         secondary = [self.context.catalog.get(name) for name in secondary_indexes]
         tracer = getattr(self.context, "tracer", None)
+        plan_cost = None
         if tracer is not None:
             # Planning is traced separately from execution: a session may
             # sit between plan and run (human inspection) for minutes.
-            with tracer.span("plan:luna", kind="plan", question=question):
+            with tracer.span("plan:luna", kind="plan", question=question) as span:
+                plan_cost = open_account(span)
                 plan = self.planner.plan(question, named_index, secondary=secondary)
         else:
             plan = self.planner.plan(question, named_index, secondary=secondary)
         return LunaSession(
-            luna=self, question=question, index=index, plan=plan
+            luna=self, question=question, index=index, plan=plan, plan_cost=plan_cost
         )
 
     def follow_up(self, question: str) -> LunaResult:
@@ -224,8 +226,8 @@ class Luna:
 
         With a traced context, the whole execution becomes one span tree
         rooted at a ``query`` span (each query is its own trace), and the
-        resulting :class:`ExecutionTrace` carries the ``trace_id`` and a
-        span-derived :class:`~repro.observability.CostAccount`.
+        resulting :class:`ExecutionTrace` carries the ``trace_id`` and the
+        query span's :class:`~repro.observability.CostAccount`.
 
         With a journal and a ``query_id``, the *optimized* plan is logged
         before execution and every node output is durably checkpointed —
@@ -259,39 +261,19 @@ class Luna:
             # Ambient-parented: standalone queries root their own trace
             # (the historical behaviour); queries run under the serving
             # layer nest beneath its per-request ``serve`` root span.
-            query_span = tracer.start_span(
-                "query:luna",
-                kind="query",
-                question=question,
-                index=index,
-            )
-            try:
-                with tracer.attach(query_span):
-                    with tracer.span("plan:optimize", kind="plan"):
-                        optimized, log, report = self._optimize(plan, named_index)
-                        code = generate_code(optimized)
-                    writer = self._journal_begin(
-                        query_id, question, index, optimized
-                    )
-                    answer, trace = self.executor.execute(
-                        optimized, journal_writer=writer, query_id=query_id
-                    )
-            except BaseException as exc:
-                tracer.finish(
-                    query_span,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
+            with tracer.span(
+                "query:luna", kind="query", question=question, index=index
+            ) as query_span:
+                cost = open_account(query_span)
+                with tracer.span("plan:optimize", kind="plan"):
+                    optimized, log, report = self._optimize(plan, named_index)
+                    code = generate_code(optimized)
+                writer = self._journal_begin(query_id, question, index, optimized)
+                answer, trace = self.executor.execute(
+                    optimized, journal_writer=writer, query_id=query_id
                 )
-                raise
-            tracer.finish(query_span)
             trace.trace_id = query_span.trace_id
-            trace.cost = CostAccount.from_spans(
-                tracer.trace_spans(query_span.trace_id)
-            )
-            # When nested under a still-open serving span, the trace root
-            # has no duration yet; the query span's own wall time is the
-            # honest figure either way.
-            trace.cost.wall_clock_s = query_span.duration_s
+            trace.cost = cost
         if report is not None:
             report.record_actuals(trace)
             trace.optimizer_report = report
@@ -385,34 +367,22 @@ class Luna:
                 query_id=query_id,
             )
         else:
-            query_span = tracer.start_span(
+            with tracer.span(
                 "query:luna",
                 kind="query",
                 question=state.question,
                 index=state.index,
                 resumed=True,
-            )
-            try:
-                with tracer.attach(query_span):
-                    answer, trace = self.executor.execute(
-                        optimized,
-                        completed=state.completed,
-                        journal_writer=writer,
-                        query_id=query_id,
-                    )
-            except BaseException as exc:
-                tracer.finish(
-                    query_span,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
+            ) as query_span:
+                cost = open_account(query_span)
+                answer, trace = self.executor.execute(
+                    optimized,
+                    completed=state.completed,
+                    journal_writer=writer,
+                    query_id=query_id,
                 )
-                raise
-            tracer.finish(query_span)
             trace.trace_id = query_span.trace_id
-            trace.cost = CostAccount.from_spans(
-                tracer.trace_spans(query_span.trace_id)
-            )
-            trace.cost.wall_clock_s = query_span.duration_s
+            trace.cost = cost
         journal.commit(query_id, answer)
         journal.registry.counter("lifecycle.resumes").inc()
         journal.registry.counter("lifecycle.nodes_replayed").inc(
@@ -452,6 +422,9 @@ class LunaSession:
     question: str
     index: str
     plan: LogicalPlan
+    #: The planning run's cost account, booked into the first run's
+    #: ``trace.cost``.
+    plan_cost: Optional[CostAccount] = None
 
     def show_plan(self) -> str:
         """The plan narrated step by step."""
@@ -486,9 +459,13 @@ class LunaSession:
     def run(self, query_id: str = "") -> LunaResult:
         """Execute the (possibly edited) plan and return the result."""
         self.plan.validate()
-        return self.luna.execute_plan(
+        result = self.luna.execute_plan(
             self.question, self.index, self.plan, query_id=query_id
         )
+        plan_cost, self.plan_cost = self.plan_cost, None
+        if plan_cost is not None and result.trace.cost is not None:
+            result.trace.cost.merge(plan_cost)
+        return result
 
     def _node(self, node_index: int) -> PlanNode:
         if not 0 <= node_index < len(self.plan.nodes):

@@ -13,9 +13,9 @@ star both demand one telemetry surface. This package provides it:
   layer, the request scheduler, the execution engine, the partitioner
   and the fault injector all publish into. Their legacy ``metrics()``
   methods remain as per-instance compatibility shims.
-* :class:`CostAccount` — a per-query rollup of simulated tokens,
+* :class:`CostAccount` — a per-query ledger of simulated tokens,
   dollars, retries and cache/dedup savings per operator, attached to
-  ``LunaResult.trace`` and derived entirely from spans.
+  ``LunaResult.trace`` and charged as each request span finishes.
 * Exporters — JSON trace documents and the ``python -m repro trace``
   tree renderer.
 

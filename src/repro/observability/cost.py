@@ -1,10 +1,14 @@
-"""Per-query cost accounting rolled up from trace spans.
+"""Per-query cost accounting, charged as spans finish.
 
 ZenDB and ScaleDoc both report per-operator cost/accuracy accounting as
 the basis for optimization decisions; Luna's optimizer needs the same
-ledger. A :class:`CostAccount` is computed from one query's span tree:
-every ``llm_request`` span is attributed to its nearest ``operator`` (or
-``plan``) ancestor, and its token/dollar attributes are accumulated.
+ledger. A :class:`CostAccount` is the running account of one span (an
+*accounting root*: a query, a plan operator, an executor plan, a
+planner run). When an ``llm_request`` span finishes, the tracer charges
+it to every account enclosing it by the spans' live parent links, never
+the retained span log, so accounts stay exact whatever the tracer keeps.
+:meth:`CostAccount.from_spans` replays the same rule over a retained
+trace, for exports.
 
 Accounting is **conservative**: cache hits and dedup-shared requests
 count their tokens (the prompt was still constructed and the answer
@@ -14,10 +18,19 @@ are directly reportable as ``saved_usd``.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from .tracing import Span
+if TYPE_CHECKING:
+    from .tracing import Span
+
+#: Span kinds an account books: requests for their spend, operators and
+#: transforms for their own wall time.
+_BOOKED_KINDS = ("llm_request", "operator", "transform")
+
+#: Serializes charges: the requests of one query finish on many threads.
+_LEDGER_LOCK = threading.Lock()
 
 
 @dataclass
@@ -188,72 +201,88 @@ class CostAccount:
         )
         return "\n".join(lines)
 
-    # ------------------------------------------------------------------
+    def book(self, span: "Span", owner: str) -> None:
+        """Charge one finished span to the row ``owner``: a request's
+        tokens and dollars, or an operator's/transform's own wall time."""
+        if span.kind != "llm_request":
+            # A transform under a Luna operator is covered by the
+            # operator's wall time; only self-owned spans add theirs.
+            if owner == span.name:
+                self.operator(owner).wall_s += span.duration_s
+            return
+        record = self.operator(owner)
+        attrs = span.attributes
+        record.llm_calls += 1
+        record.input_tokens += int(attrs.get("input_tokens", 0) or 0)
+        record.output_tokens += int(attrs.get("output_tokens", 0) or 0)
+        record.cost_usd += float(attrs.get("cost_usd", 0.0) or 0.0)
+        record.saved_usd += float(attrs.get("saved_usd", 0.0) or 0.0)
+        record.retries += int(attrs.get("retries", 0) or 0)
+        if attrs.get("cached"):
+            record.cached_calls += 1
+        if attrs.get("dedup"):
+            record.dedup_hits += 1
 
     @classmethod
-    def from_spans(cls, spans: List[Span]) -> "CostAccount":
-        """Roll one trace's spans up into an account.
-
-        Each ``llm_request`` span is attributed to its nearest ancestor
-        of kind ``operator`` (falling back to ``plan``, then to the
-        pseudo-operator ``(query)``).
-        """
+    def from_spans(cls, spans: List["Span"]) -> "CostAccount":
+        """Replay a retained span log into an account (trace exports),
+        by the rule :func:`charge` applies live, with the log's outermost
+        spans as the root: on a fully retained trace the two agree."""
         account = cls()
-        by_id: Dict[str, Span] = {span.span_id: span for span in spans}
+        by_id: Dict[str, "Span"] = {span.span_id: span for span in spans}
         for span in spans:
             if span.parent_id is None and not account.trace_id:
                 account.trace_id = span.trace_id
                 account.wall_clock_s = span.duration_s
-            if span.kind in ("operator", "transform"):
-                owner = _owning_operator(span, by_id)
-                # A transform nested under a Luna operator is already
-                # covered by the operator's wall time; only self-owned
-                # spans contribute theirs.
-                if owner == _operator_name(span):
-                    account.operator(owner).wall_s += span.duration_s
-            if span.kind != "llm_request":
-                continue
-            owner = _owning_operator(span, by_id)
-            record = account.operator(owner)
-            attrs = span.attributes
-            record.llm_calls += 1
-            record.input_tokens += int(attrs.get("input_tokens", 0) or 0)
-            record.output_tokens += int(attrs.get("output_tokens", 0) or 0)
-            record.cost_usd += float(attrs.get("cost_usd", 0.0) or 0.0)
-            record.saved_usd += float(attrs.get("saved_usd", 0.0) or 0.0)
-            record.retries += int(attrs.get("retries", 0) or 0)
-            if attrs.get("cached"):
-                record.cached_calls += 1
-            if attrs.get("dedup"):
-                record.dedup_hits += 1
+            if span.kind in _BOOKED_KINDS:
+                chain = _attribute(span, lambda s: by_id.get(s.parent_id or ""))
+                account.book(span, [owner for _, owner in chain][-1])
         return account
 
 
-def _operator_name(span: Span) -> str:
-    # The span name (e.g. ``op[2]:LlmFilter``) is unique per plan node,
-    # so two filters in one plan roll up separately.
-    return span.name
+def open_account(span: "Span") -> CostAccount:
+    """Make ``span`` an accounting root; returns its running account."""
+    span.account = CostAccount(trace_id=span.trace_id)
+    return span.account
 
 
-def _owning_operator(span: Span, by_id: Dict[str, Span]) -> str:
-    """Walk ancestors to the nearest owning span's name.
+def charge(span: "Span") -> None:
+    """Book a just-finished span to every account enclosing it (called
+    by :meth:`Tracer.finish`). A root's finish closes its account: the
+    figures are final and only the caller of :func:`open_account` keeps
+    it, so retained spans do not hold ledgers."""
+    if span.kind in _BOOKED_KINDS:
+        with _LEDGER_LOCK:
+            for ancestor, owner in _attribute(span, lambda s: s.parent):
+                if ancestor.account is not None:
+                    ancestor.account.book(span, owner)
+    if span.account is not None:
+        span.account.wall_clock_s = span.duration_s
+        span.account = None
 
-    Preference order: nearest ``operator`` (Luna plan node), else nearest
-    ``transform`` (DocSet dataflow node), else the enclosing ``plan``,
-    else the pseudo-operator ``(query)``.
+
+def _attribute(
+    span: "Span", parent_of: Callable[["Span"], Optional["Span"]]
+) -> Iterator[Tuple["Span", str]]:
+    """The attribution rule, walked from ``span`` up its ancestors.
+
+    Yields ``(ancestor, owner)`` for ``span`` itself and each ancestor:
+    ``owner`` is the row ``span`` books to in an account rooted at that
+    ancestor — the nearest ``operator`` at or below it (its name is
+    unique per plan node, so two filters in one plan roll up
+    separately), else the nearest ``transform``, else ``plan``, else
+    the pseudo-operator ``(query)``.
     """
+    operator: Optional[str] = None
     transform: Optional[str] = None
     plan: Optional[str] = None
-    seen = set()
-    current: Optional[Span] = span
-    while current is not None and current.span_id not in seen:
-        seen.add(current.span_id)
-        if current.kind == "operator":
-            return _operator_name(current)
-        if current.kind == "transform" and transform is None:
+    current: Optional["Span"] = span
+    while current is not None:
+        if current.kind == "operator" and operator is None:
+            operator = current.name
+        elif current.kind == "transform" and transform is None:
             transform = current.name
-        if current.kind == "plan" and plan is None:
+        elif current.kind == "plan" and plan is None:
             plan = current.name
-        parent_id = current.parent_id
-        current = by_id.get(parent_id) if parent_id else None
-    return transform or plan or "(query)"
+        yield current, operator or transform or plan or "(query)"
+        current = parent_of(current)

@@ -28,6 +28,8 @@ Span-propagation rules (the invariants instrumented code relies on):
   reparented; the batch span lives in its own trace.
 * Spans are recorded at start (open spans are visible in snapshots) and
   immutable-by-convention after :meth:`Tracer.finish`.
+* :meth:`Tracer.finish` charges a request to the cost accounts of its
+  enclosing spans by live parent links, never by what the tracer retains.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
+from .cost import charge
+
 #: The ambient span, shared process-wide so parent discovery works across
 #: component boundaries regardless of which Tracer instance records.
 _CURRENT_SPAN: "ContextVar[Optional[Span]]" = ContextVar(
@@ -49,7 +53,7 @@ _CURRENT_SPAN: "ContextVar[Optional[Span]]" = ContextVar(
 _AMBIENT = object()
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed operation in a trace."""
 
@@ -63,6 +67,10 @@ class Span:
     status: str = "ok"
     error: Optional[str] = None
     attributes: Dict[str, Any] = field(default_factory=dict)
+    #: The live parent (the span ``parent_id`` names), retained or not.
+    parent: Optional["Span"] = field(default=None, repr=False, compare=False)
+    #: An open accounting root's ``CostAccount`` (see ``open_account``).
+    account: Optional[Any] = field(default=None, repr=False, compare=False)
 
     @property
     def finished(self) -> bool:
@@ -102,9 +110,11 @@ class Tracer:
 
     Thread-safe. Ids are sequential under a lock, so a single-threaded
     run is fully deterministic and a concurrent run is stable enough to
-    diff. ``max_spans`` bounds memory: past it, new spans are still
-    created and returned (instrumented code never branches) but are not
-    retained; ``dropped_spans`` counts them.
+    diff. ``max_spans`` bounds memory by recency: a new span evicts the
+    least recently extended *whole* traces until it fits. A trace that
+    alone fills the tracer keeps its oldest spans; newer ones are still
+    created and returned (instrumented code never branches) but not
+    retained. ``dropped_spans`` counts spans evicted or not retained.
     """
 
     def __init__(
@@ -144,6 +154,7 @@ class Tracer:
         """
         if parent is _AMBIENT:
             parent = _CURRENT_SPAN.get()
+        assert parent is None or isinstance(parent, Span)
         now = self._clock()
         with self._lock:
             self._span_counter += 1
@@ -163,22 +174,34 @@ class Tracer:
                 kind=kind,
                 start_s=now,
                 attributes=dict(attributes),
+                parent=parent,
             )
-            if len(self._spans) >= self.max_spans:
-                self.dropped_spans += 1
-            else:
+            # Re-inserted below: dict order is recency order.
+            trace = self._traces.pop(trace_id, [])
+            while len(self._spans) >= self.max_spans and self._traces:
+                evicted = self._traces.pop(next(iter(self._traces)))
+                for evicted_id in evicted:
+                    del self._spans[evicted_id]
+                self.dropped_spans += len(evicted)
+            if len(self._spans) < self.max_spans:
                 self._spans[span_id] = span
-                self._traces.setdefault(trace_id, []).append(span_id)
+                trace.append(span_id)
+            else:
+                self.dropped_spans += 1
+            if trace:
+                self._traces[trace_id] = trace
         return span
 
     def finish(
         self, span: Span, status: str = "ok", error: Optional[str] = None
     ) -> Span:
-        """Close the span (idempotent — the first finish wins)."""
+        """Close the span (idempotent — the first finish wins) and charge
+        it to the cost accounts enclosing it."""
         if span.end_s is None:
             span.end_s = self._clock()
             span.status = status
             span.error = error
+            charge(span)
         return span
 
     @contextmanager
@@ -222,20 +245,10 @@ class Tracer:
     # Snapshots
     # ------------------------------------------------------------------
 
-    def get(self, span_id: str) -> Optional[Span]:
-        """The retained span with this id, if any."""
-        with self._lock:
-            return self._spans.get(span_id)
-
     def spans(self) -> List[Span]:
         """Every retained span, in creation order."""
         with self._lock:
             return [self._spans[sid] for sid in sorted(self._spans)]
-
-    def trace_ids(self) -> List[str]:
-        """All trace ids, in creation order."""
-        with self._lock:
-            return sorted(self._traces)
 
     def trace_spans(self, trace_id: str) -> List[Span]:
         """The spans of one trace, in creation order."""
@@ -252,11 +265,3 @@ class Tracer:
                 if self._spans[root_id].kind == kind:
                     return trace_id
         return None
-
-    def reset(self) -> None:
-        """Drop every retained span and trace (counters keep advancing,
-        so ids stay unique across the tracer's lifetime)."""
-        with self._lock:
-            self._spans.clear()
-            self._traces.clear()
-            self.dropped_spans = 0

@@ -50,7 +50,7 @@ from ..lifecycle.deadline import (
     current_scope,
     wait_future,
 )
-from ..llm.base import LLMClient, LLMResponse, get_model_spec
+from ..llm.base import LLMClient, LLMResponse, price_usd
 from ..observability.metrics import MetricsRegistry, get_registry
 from ..observability.tracing import Span, Tracer
 
@@ -115,6 +115,8 @@ class LLMRequest:
     #: Trace span opened at submission (under the submitter's context)
     #: and finished when the future resolves; None when untraced.
     span: Optional[Span] = None
+    #: Spans of dedup waiters sharing this request's future.
+    waiters: List[Span] = field(default_factory=list)
     #: The submitting query's lifecycle scope, captured at admission.
     #: Cancelled or deadline-expired entries are purged (typed failure)
     #: at batch-formation time instead of being dispatched.
@@ -286,7 +288,7 @@ class RequestScheduler:
             Priority.INTERACTIVE: deque(),
             Priority.BULK: deque(),
         }
-        self._inflight: Dict[DedupKey, "Future[LLMResponse]"] = {}
+        self._inflight: Dict[DedupKey, LLMRequest] = {}
         self._stats = SchedulerStats()
         self._consecutive_interactive = 0
         self._closed = False
@@ -320,7 +322,7 @@ class RequestScheduler:
         one shared exception if it fails.
         """
         priority = _coerce_priority(priority)
-        shared: "Optional[Future[LLMResponse]]" = None
+        owner: Optional[LLMRequest] = None
         waiter_span: Optional[Span] = None
         with self._cond:
             if self._closed:
@@ -330,8 +332,8 @@ class RequestScheduler:
             key: Optional[DedupKey] = None
             if self.dedup and temperature == 0.0:
                 key = (model, prompt, max_output_tokens)
-                shared = self._inflight.get(key)
-            if shared is None:
+                owner = self._inflight.get(key)
+            if owner is None:
                 return self._enqueue_locked(
                     prompt, model, max_output_tokens, temperature, priority, key
                 )
@@ -339,8 +341,10 @@ class RequestScheduler:
             self._m_dedup_hits.inc()
             if self.tracer is not None:
                 # The waiter gets its own span (attributed to ITS
-                # query), finished when the shared call resolves:
-                # full tokens, zero dollars, savings reported.
+                # query): full tokens, zero dollars, savings reported.
+                # The dispatcher finishes it before resolving the shared
+                # future, so the waiter's query is charged by the time it
+                # wakes.
                 waiter_span = self.tracer.start_span(
                     f"llm:{model}",
                     kind="llm_request",
@@ -348,15 +352,19 @@ class RequestScheduler:
                     priority=priority.name.lower(),
                     dedup="inflight",
                 )
-        # Registered outside the lock: an already-resolved shared future
-        # runs the callback inline, and the span bookkeeping must not
-        # execute while holding _cond.
+                owner.waiters.append(waiter_span)
+        # Every other way the shared future resolves (purge, close, a
+        # waiter that joined after dispatch) finishes the span here.
+        # Registered outside the lock: an already-resolved future runs
+        # the callback inline, and the span bookkeeping must not execute
+        # while holding _cond.
         if waiter_span is not None:
-            span = waiter_span
-            shared.add_done_callback(
-                lambda f, s=span: self._finish_request_span(s, f, charge=False)
+            owner.future.add_done_callback(
+                lambda f, s=waiter_span: self._finish_request_span(
+                    s, f, charge=False
+                )
             )
-        return shared
+        return owner.future
 
     def _enqueue_locked(
         self,
@@ -398,7 +406,7 @@ class RequestScheduler:
             scope=current_scope(),
         )
         if key is not None:
-            self._inflight[key] = future
+            self._inflight[key] = request
         queue.append(request)
         self._stats.admitted += 1
         self._m_admitted.inc()
@@ -425,6 +433,8 @@ class RequestScheduler:
         ``saved_usd`` — the conservative-accounting invariant.
         """
         assert self.tracer is not None
+        if span.finished:
+            return
         result: "LLMResponse | BaseException"
         if isinstance(resolved, Future):
             exc = resolved.exception()
@@ -442,12 +452,7 @@ class RequestScheduler:
             )
             return
         usage = result.usage
-        try:
-            full_cost = get_model_spec(result.model).cost_usd(
-                usage.input_tokens, usage.output_tokens
-            )
-        except Exception:  # unknown model: no price card
-            full_cost = 0.0
+        full_cost = price_usd(result.model, usage)
         charged = full_cost if charge and not result.cached else 0.0
         span.set_attributes(
             input_tokens=usage.input_tokens,
@@ -798,6 +803,10 @@ class RequestScheduler:
                     batch_span_id=batch_span.span_id,
                     dedup="batch" if duplicate else None,
                 )
+                with self._cond:
+                    waiters = list(request.waiters)
+                for waiter in waiters:
+                    self._finish_request_span(waiter, result, charge=False)
         with self._cond:
             self._stats.batches_dispatched += 1
             self._m_batches.inc()

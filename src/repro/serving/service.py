@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.plancheck import ensure_valid_plan
 from ..lifecycle.deadline import (
@@ -44,7 +44,7 @@ from ..lifecycle.deadline import (
 )
 from ..luna.luna import Luna, LunaResult
 from ..luna.operators import LogicalPlan
-from ..observability.cost import CostAccount
+from ..observability.cost import CostAccount, open_account
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import Span, Tracer
 from ..sycamore.context import SycamoreContext
@@ -303,8 +303,6 @@ class _PlanEntry:
 
     plan_json: str
     cost_usd: float
-    llm_calls: int
-    plan_trace_id: str = ""
 
     def hydrate(self) -> LogicalPlan:
         plan = LogicalPlan.from_json(self.plan_json)
@@ -875,39 +873,11 @@ class QueryService:
             return plan
 
         def compute_plan() -> _PlanEntry:
-            self._m_plans_computed.inc()
-            tracer = self.tracer
-            if tracer is None:
-                plan = plan_checked()
-                return _PlanEntry(plan_json=plan.to_json(), cost_usd=0.0, llm_calls=0)
             # Planning runs in its own trace: with single-flight, one
             # planner run serves many queries, so its spans can't belong
-            # to any single query's trace. The serve span links to it.
-            plan_span = tracer.start_span(
-                "plan:serve",
-                kind="plan",
-                parent=None,
-                question=ticket.question,
-                index=ticket.index,
-            )
-            try:
-                with tracer.attach(plan_span):
-                    plan = plan_checked()
-            except BaseException as exc:
-                tracer.finish(
-                    plan_span, status="error", error=f"{type(exc).__name__}: {exc}"
-                )
-                raise
-            tracer.finish(plan_span)
-            plan_cost = CostAccount.from_spans(
-                tracer.trace_spans(plan_span.trace_id)
-            )
-            return _PlanEntry(
-                plan_json=plan.to_json(),
-                cost_usd=plan_cost.cost_usd,
-                llm_calls=plan_cost.llm_calls,
-                plan_trace_id=plan_span.trace_id,
-            )
+            # to any single query's trace.
+            plan, cost_usd = self._plan(ticket, plan_checked, parent=None)
+            return _PlanEntry(plan_json=plan.to_json(), cost_usd=cost_usd)
 
         pkey = plan_cache_key(
             ticket.question,
@@ -921,11 +891,7 @@ class QueryService:
         plan_state["outcome"] = outcome
         if outcome == MISS:
             self._m_plan_misses.inc()
-            charges["cost"] += entry.cost_usd
-            with self._accounts_lock:
-                self.tenant(ticket.tenant).account.operator(
-                    "(planning)"
-                ).cost_usd += entry.cost_usd
+            self._charge_planning(ticket.tenant, entry.cost_usd, charges)
         else:
             if outcome == HIT:
                 self._m_plan_hits.inc()
@@ -940,6 +906,37 @@ class QueryService:
                         "(plan-cache)", entry.cost_usd
                     )
         return entry
+
+    def _plan(
+        self,
+        ticket: QueryTicket,
+        plan_fn: Callable[[], LogicalPlan],
+        parent: Optional[Span],
+    ) -> Tuple[LogicalPlan, float]:
+        """Run ``plan_fn`` under a ``plan:serve`` span; returns the plan
+        and what planning cost."""
+        self._m_plans_computed.inc()
+        tracer = self.tracer
+        if tracer is None:
+            return plan_fn(), 0.0
+        with tracer.span(
+            "plan:serve",
+            kind="plan",
+            parent=parent,
+            question=ticket.question,
+            index=ticket.index,
+        ) as span:
+            cost = open_account(span)
+            plan = plan_fn()
+        return plan, cost.cost_usd
+
+    def _charge_planning(
+        self, tenant: str, cost_usd: float, charges: Dict[str, float]
+    ) -> None:
+        """Book one planner run's spend to the query and its tenant."""
+        charges["cost"] += cost_usd
+        with self._accounts_lock:
+            self.tenant(tenant).account.operator("(planning)").cost_usd += cost_usd
 
     def _charge_execution(
         self, tenant: str, result: LunaResult, charges: Dict[str, float]
@@ -991,8 +988,12 @@ class QueryService:
                 "follow-up needs a previous answer with document provenance"
             )
         ticket._emit("planning")
-        self._m_plans_computed.inc()
-        plan = luna.planner.plan(ticket.question, index_obj)
+        plan, cost_usd = self._plan(
+            ticket,
+            lambda: luna.planner.plan(ticket.question, index_obj),
+            parent=Tracer.current(),
+        )
+        self._charge_planning(ticket.tenant, cost_usd, charges)
         for node in plan.nodes:
             if node.operation == "QueryIndex":
                 node.operation = "FromDocuments"

@@ -16,7 +16,7 @@ from repro import (
     __version__,
 )
 from repro.execution import Executor, Plan
-from repro.llm import CostTracker, ReliableLLM, SimulatedLLM, Usage
+from repro.llm import ReliableLLM, SimulatedLLM
 
 
 class TestTopLevelExports:
@@ -61,17 +61,6 @@ class TestExecutorValidation:
         bogus = Plan(PlanNode(kind="teleport", name="t", parent=Plan.from_items([1]).node))
         with pytest.raises(ValueError, match="unknown plan node kind"):
             Executor().take_all(bogus)
-
-
-class TestCostTrackerByTag:
-    def test_by_tag_partitions_records(self):
-        tracker = CostTracker()
-        tracker.record("sim-large", Usage(10, 1, 1), 0.1, tag="filter")
-        tracker.record("sim-large", Usage(20, 2, 1), 0.1, tag="extract")
-        tracker.record("sim-large", Usage(30, 3, 1), 0.1, tag="filter")
-        by_tag = tracker.by_tag()
-        assert by_tag["filter"].calls == 2
-        assert by_tag["extract"].input_tokens == 20
 
 
 class TestContextDefaults:

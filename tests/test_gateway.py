@@ -299,7 +299,12 @@ class TestQueryRoutes:
         mine = [r for r in records if r["request_id"] == "my-req-1"]
         assert mine and mine[0]["query_id"] == served["query_id"]
 
-    def test_request_id_reaches_trace_json(self, gateway, client):
+    def test_request_id_reaches_trace_json(
+        self, gateway, client, fast_ctx, monkeypatch
+    ):
+        # Retention is by recency: even with a span cap far below what the
+        # context has already traced, the latest query's trace is served.
+        monkeypatch.setattr(fast_ctx.tracer, "max_spans", 8)
         served = client.query(
             "How many incidents happened in 2023?",
             index="ntsb",

@@ -135,8 +135,8 @@ class TestModelSpecs:
 class TestCostTracker:
     def test_records_and_summary(self):
         tracker = CostTracker()
-        tracker.record("sim-large", Usage(1000, 100, 1), latency_s=2.0, tag="op1")
-        tracker.record("sim-small", Usage(500, 50, 1), latency_s=1.0, tag="op2")
+        tracker.record("sim-large", Usage(1000, 100, 1), latency_s=2.0)
+        tracker.record("sim-small", Usage(500, 50, 1), latency_s=1.0)
         summary = tracker.summary()
         assert summary.calls == 2
         assert summary.input_tokens == 1500
@@ -150,11 +150,10 @@ class TestCostTracker:
         assert summary.latency_s == 0.0
         assert summary.cached_calls == 1
 
-    def test_filter_by_tag_and_model(self):
+    def test_filter_by_model(self):
         tracker = CostTracker()
-        tracker.record("sim-large", Usage(10, 1, 1), 0.1, tag="a")
-        tracker.record("sim-large", Usage(20, 2, 1), 0.1, tag="b")
-        assert tracker.summary(tag="a").input_tokens == 10
+        tracker.record("sim-large", Usage(10, 1, 1), 0.1)
+        tracker.record("sim-large", Usage(20, 2, 1), 0.1)
         assert tracker.summary(model="sim-large").calls == 2
         assert tracker.summary(model="sim-small").calls == 0
 

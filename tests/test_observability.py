@@ -27,6 +27,7 @@ from repro.observability import (
     trace_to_dict,
     write_trace_json,
 )
+from repro.observability.cost import open_account
 from repro.runtime.scheduler import Priority, RequestScheduler
 
 
@@ -267,6 +268,38 @@ class TestCostAccount:
         assert ops["op[0]:LlmFilter"].cost_usd == pytest.approx(0.002)
         assert ops["op[1]:Summarize"].retries == 2
 
+    def test_concurrent_charges_are_not_lost(self):
+        """More threads than cores finishing requests under one account,
+        with a tiny switch interval: every charge lands exactly once."""
+        import sys
+
+        tracer = Tracer(max_spans=64)
+        threads, per_thread = 8, 400
+
+        def spend():
+            for _ in range(per_thread):
+                _llm_span(tracer, input_tokens=1, output_tokens=1, cost_usd=0.25)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with tracer.span("op[0]:LlmFilter", kind="operator") as op:
+                account = open_account(op)
+                workers = [
+                    threading.Thread(target=contextvars.copy_context().run, args=(spend,))
+                    for _ in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60)
+                assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert account.llm_calls == threads * per_thread
+        assert account.input_tokens == threads * per_thread
+        assert account.cost_usd == 0.25 * threads * per_thread
+
     def test_same_operation_twice_rolls_up_separately(self):
         tracer = Tracer()
         with tracer.span("query:q", kind="query"):
@@ -418,10 +451,13 @@ class TestSchedulerTracing:
         )
         try:
             with tracer.span("query:d", kind="query") as query:
+                live = open_account(query)
                 a = scheduler.submit("same prompt", model="sim-small")
                 b = scheduler.submit("same prompt", model="sim-small")
                 assert a is b  # one upstream call
                 a.result()
+                # Both spans are charged before the shared future resolves.
+                assert (live.llm_calls, live.dedup_hits) == (2, 1)
         finally:
             scheduler.close()
         spans = [
@@ -440,6 +476,7 @@ class TestSchedulerTracing:
         account = CostAccount.from_spans(tracer.trace_spans(query.trace_id))
         assert account.dedup_hits == 1
         assert account.llm_calls == 2
+        assert account.as_dict() == live.as_dict()
 
     def test_cancelled_requests_finish_spans_with_error(self):
         tracer = Tracer()
@@ -499,6 +536,8 @@ class TestExecutorTracing:
         assert cost.llm_calls == 12
         assert cost.cost_usd == pytest.approx(0.012)
         assert set(cost.operators) == {"transform:call_llm"}
+        replay = CostAccount.from_spans(tracer.spans())
+        assert cost.as_dict() == replay.as_dict()
 
     def test_serial_matches_parallel_attribution(self):
         def make(tracer):
@@ -609,6 +648,116 @@ class TestEndToEndTrace:
         path = write_trace_json(tmp_path / "luna.json", spans, result.trace.cost)
         doc = json.loads(path.read_text())
         assert doc["cost"]["totals"] == result.trace.cost.as_dict()["totals"]
+        # ``trace.cost`` also books the planning run, which is its own trace.
+        plan_spans = ctx.tracer.trace_spans(ctx.tracer.last_trace(kind="plan"))
+        assert plan_spans[0].name == "plan:luna"
         assert doc["cost"]["totals"]["llm_calls"] == len(
             [s for s in doc["spans"] if s["kind"] == "llm_request"]
+        ) + len([s for s in plan_spans if s.kind == "llm_request"])
+        # The running account equals the replay of the retained spans,
+        # row by row.
+        replay = CostAccount.from_spans(spans).merge(
+            CostAccount.from_spans(plan_spans)
         )
+        assert doc["cost"]["operators"] == replay.as_dict()["operators"]
+
+
+# ----------------------------------------------------------------------
+# Running cost accounts: exact whatever the tracer retains or other
+# threads spend
+# ----------------------------------------------------------------------
+
+
+def _figures(result):
+    """A result's cost figures, wall clock aside."""
+    totals = result.trace.cost.as_dict()["totals"]
+    totals.pop("wall_clock_s")
+    nodes = [
+        (entry.index, entry.llm_calls, entry.llm_cost_usd)
+        for entry in result.trace.entries
+    ]
+    return totals, nodes
+
+
+class TestRunningCostAccount:
+    @pytest.fixture(scope="class")
+    def suite_context(self):
+        from repro.datagen import generate_ntsb_corpus
+        from repro.datagen.questions import build_ntsb_questions
+        from repro.partitioner.partitioner import ArynPartitioner
+        from repro.sycamore.context import SycamoreContext
+
+        records, raws = generate_ntsb_corpus(8, seed=31)
+        ctx = SycamoreContext(parallelism=1, seed=31, registry=MetricsRegistry())
+        (
+            ctx.read.raw(raws)
+            .partition(ArynPartitioner(seed=0))
+            .extract_properties(
+                {
+                    "state": "string",
+                    "incident_year": "int",
+                    "weather_related": "bool",
+                    "injuries_fatal": "int",
+                },
+                model="sim-oracle",
+            )
+            .write.index("ntsb")
+        )
+        # Every repeat of a question must spend exactly what the first
+        # run spent, so the response cache is off.
+        ctx.llm.cache_enabled = False
+        yield ctx, [q.question for q in build_ntsb_questions(records)[:4]]
+        ctx.close()
+
+    def test_tiny_span_cap_keeps_every_query_cost_exact(self, suite_context):
+        from repro.luna.luna import Luna
+
+        ctx, questions = suite_context
+        luna = Luna(ctx, planner_model="sim-oracle")
+        uncapped = [_figures(luna.query(q, "ntsb")) for q in questions]
+        assert any(totals["cost_usd"] > 0 for totals, _ in uncapped)
+        tracer = ctx.tracer
+        saved_cap = tracer.max_spans
+        tracer.max_spans = 16
+        try:
+            for question, expected in zip(questions, uncapped):
+                result = luna.query(question, "ntsb")
+                assert _figures(result) == expected
+                # Retention is by recency: the latest query's trace is
+                # kept (from its root), older ones are evicted.
+                spans = tracer.trace_spans(result.trace.trace_id)
+                assert spans and spans[0].name == "query:luna"
+            assert tracer.dropped_spans > 0
+            assert len(tracer.spans()) <= 16
+        finally:
+            tracer.max_spans = saved_cap
+
+    def test_other_threads_spend_is_not_charged_to_a_node(
+        self, suite_context, monkeypatch
+    ):
+        from repro.luna.executor import LunaExecutor
+        from repro.luna.luna import Luna
+
+        ctx, questions = suite_context
+        question = "How many incidents were caused by wind?"
+        luna = Luna(ctx, planner_model="sim-oracle")
+        alone = _figures(luna.query(question, "ntsb"))
+        run_node = LunaExecutor._run_node
+
+        def run_node_beside_other_spend(self, node, inputs, results):
+            # Another thread bills the same backend while the node runs.
+            other = threading.Thread(
+                target=ctx.llm.complete, args=(f"unrelated {node.operation}",)
+            )
+            other.start()
+            other.join()
+            return run_node(self, node, inputs, results)
+
+        monkeypatch.setattr(LunaExecutor, "_run_node", run_node_beside_other_spend)
+        billed_before = ctx.cost_tracker.summary().calls
+        beside = _figures(luna.query(question, "ntsb"))
+        # No other thread's spend lands on the query or its nodes ...
+        assert beside == alone
+        # ... though the backend billed one extra call per node.
+        billed = ctx.cost_tracker.summary().calls - billed_before
+        assert billed == alone[0]["llm_calls"] + len(alone[1])

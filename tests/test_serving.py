@@ -313,6 +313,49 @@ class TestServiceAccounting:
                 hit.saved_usd
             )
 
+    def test_concurrent_misses_book_only_their_own_spend(self):
+        """4 workers plus a scheduler: each executed query's nodes add up
+        to its own account, and the served costs add up to the backend's
+        bill (planning booked exactly once)."""
+        from repro.runtime import RequestScheduler
+
+        scheduler = RequestScheduler(max_wait_ms=2.0)
+        ctx = SycamoreContext(
+            parallelism=2, seed=13, scheduler=scheduler, registry=MetricsRegistry()
+        )
+        _, raws = generate_ntsb_corpus(8, seed=13)
+        (
+            ctx.read.raw(raws)
+            .partition(ArynPartitioner(seed=0))
+            .extract_properties(SCHEMA, model="sim-large")
+            .write.index("ntsb")
+        )
+        # A few milliseconds per backend call keeps the queries overlapping.
+        ctx.llm.backend.real_latency_scale = 0.005
+        questions = [
+            f"How many incidents were caused by {cause}?"
+            for cause in ("wind", "icing", "bird strikes", "engine failure")
+        ] + ["Which state had the most incidents caused by wind?"]
+        billed_before = ctx.cost_tracker.summary().cost_usd
+        try:
+            with QueryService(
+                ctx,
+                ServiceConfig(max_workers=4, default_tenant_inflight=16),
+                registry=MetricsRegistry(),
+            ) as service:
+                tickets = [service.submit(q, "ntsb") for q in questions * 2]
+                served = [ticket.result(timeout=120) for ticket in tickets]
+        finally:
+            scheduler.close()
+        misses = [s for s in served if s.result_cache == MISS]
+        assert len(misses) == len(questions)
+        for miss in misses:
+            trace = miss.result.trace
+            assert trace.total_cost_usd() == pytest.approx(trace.cost.cost_usd)
+            assert trace.cost.cost_usd > 0
+        billed = ctx.cost_tracker.summary().cost_usd - billed_before
+        assert sum(s.cost_usd for s in served) == pytest.approx(billed)
+
     def test_session_records_conversation_and_follow_up(self, served_ctx, service):
         session = service.open_session(tenant="carol", index="ntsb")
         first = service.query(
