@@ -172,6 +172,7 @@ class _Assignment:
     slot: int
     generation: int
     envelope: TaskEnvelope
+    #: The shard's span; None once an outcome has finished it.
     span: Optional[Span] = None
 
 
@@ -182,6 +183,7 @@ class ClusterCoordinator:
     parallelism lives inside a segment, across its shards and workers.
     The coordinator owns its workers: :meth:`close` shuts the pool down
     and is required (``with`` works), matching QueryService's contract.
+    Segment and shard spans go to ``tracer`` (default: a private one).
     """
 
     def __init__(
@@ -196,7 +198,7 @@ class ClusterCoordinator:
             raise ValueError("n_workers must be >= 1")
         if self.config.max_shard_retries < 0:
             raise ValueError("max_shard_retries must be >= 0")
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.registry = registry if registry is not None else get_registry()
         self.journal = journal
         self._mp = multiprocessing.get_context(self.config.start_method)
@@ -395,18 +397,16 @@ class ClusterCoordinator:
         }
         deaths_before = self.worker_deaths
 
-        segment_span: Optional[Span] = None
-        if self.tracer is not None:
-            segment_span = self.tracer.start_span(
-                "cluster.segment",
-                query_id=query_id,
-                run_token=run_token,
-                shards=n_shards,
-                dispatched_shards=len(pending),
-                reused_shards=result.reused_shards,
-                workers=self.config.n_workers,
-                documents=len(documents),
-            )
+        segment_span = self.tracer.start_span(
+            "cluster.segment",
+            query_id=query_id,
+            run_token=run_token,
+            shards=n_shards,
+            dispatched_shards=len(pending),
+            reused_shards=result.reused_shards,
+            workers=self.config.n_workers,
+            documents=len(documents),
+        )
 
         assignments: Dict[int, _Assignment] = {}
         status = "ok"
@@ -487,21 +487,20 @@ class ClusterCoordinator:
                 )
             raise
         finally:
-            if segment_span is not None and self.tracer is not None:
-                segment_span.set_attributes(
-                    status=status if error is None else "error",
-                    completed_shards=result.completed_shards,
-                    retried_shards=result.retried_shards,
-                    deadline_shards=list(result.deadline_shards),
-                    worker_deaths=self.worker_deaths - deaths_before,
-                    llm_calls=result.llm_calls,
-                    cost_usd=round(result.cost_usd, 6),
-                )
-                self.tracer.finish(
-                    segment_span,
-                    status="ok" if error is None else "error",
-                    error=str(error) if error is not None else None,
-                )
+            segment_span.set_attributes(
+                status=status if error is None else "error",
+                completed_shards=result.completed_shards,
+                retried_shards=result.retried_shards,
+                deadline_shards=list(result.deadline_shards),
+                worker_deaths=self.worker_deaths - deaths_before,
+                llm_calls=result.llm_calls,
+                cost_usd=round(result.cost_usd, 6),
+            )
+            self.tracer.finish(
+                segment_span,
+                status="ok" if error is None else "error",
+                error=str(error) if error is not None else None,
+            )
 
     # ------------------------------------------------------------------
     # Scatter/gather internals
@@ -518,7 +517,7 @@ class ClusterCoordinator:
         run_token: str,
         scope: Optional[CancelScope],
         assignments: Dict[int, _Assignment],
-        segment_span: Optional[Span],
+        segment_span: Span,
     ) -> None:
         budget_s: Optional[float] = None
         if scope is not None and scope.deadline is not None:
@@ -542,17 +541,15 @@ class ClusterCoordinator:
             slot = next(self._dispatch_rr) % len(self._slots)
             handle = self._slots[slot]
             handle.task_queue.put(envelope)
-        span: Optional[Span] = None
-        if self.tracer is not None:
-            span = self.tracer.start_span(
-                "cluster.shard",
-                parent=segment_span,
-                shard_id=shard_id,
-                attempt=attempt,
-                worker=slot,
-                documents=len(documents),
-                poisoned=poison is not None,
-            )
+        span = self.tracer.start_span(
+            "cluster.shard",
+            parent=segment_span,
+            shard_id=shard_id,
+            attempt=attempt,
+            worker=slot,
+            documents=len(documents),
+            poisoned=poison is not None,
+        )
         assignments[shard_id] = _Assignment(
             slot=slot,
             generation=handle.generation,
@@ -571,7 +568,7 @@ class ClusterCoordinator:
         query_id: str,
         segment_fp: str,
         scope: Optional[CancelScope],
-        segment_span: Optional[Span],
+        segment_span: Span,
     ) -> None:
         shard_id = shard_result.shard_id
         assignment = assignments.pop(shard_id, None)
@@ -649,7 +646,7 @@ class ClusterCoordinator:
         assignments: Dict[int, _Assignment],
         result: ClusterRunResult,
         scope: Optional[CancelScope],
-        segment_span: Optional[Span],
+        segment_span: Span,
     ) -> None:
         if assignment is None:  # pragma: no cover - defensive
             raise ClusterError(
@@ -686,7 +683,7 @@ class ClusterCoordinator:
         assignments: Dict[int, _Assignment],
         result: ClusterRunResult,
         scope: Optional[CancelScope],
-        segment_span: Optional[Span],
+        segment_span: Span,
     ) -> None:
         """Detect dead workers, heal the pool, re-dispatch lost shards."""
         with self._lock:
@@ -736,11 +733,8 @@ class ClusterCoordinator:
         outcome: str,
         **attributes: Any,
     ) -> None:
-        if (
-            assignment is None
-            or assignment.span is None
-            or self.tracer is None
-        ):
+        # A shard span is finished once, by whichever outcome lands first.
+        if assignment is None or assignment.span is None:
             return
         assignment.span.set_attributes(outcome=outcome, **attributes)
         self.tracer.finish(

@@ -252,10 +252,9 @@ def execute_envelope(
             context.llm.backend = injected_backend
 
     result.wall_s = time.monotonic() - started
-    cost = executor.last_stats.cost if executor.last_stats is not None else None
-    if cost is not None:
-        result.llm_calls = cost.llm_calls
-        result.cost_usd = cost.cost_usd
+    if executor.last_stats is not None:
+        result.llm_calls = executor.last_stats.cost.llm_calls
+        result.cost_usd = executor.last_stats.cost.cost_usd
     return result
 
 

@@ -85,13 +85,9 @@ class ExecutionStats:
     nodes: Dict[str, NodeStats] = field(default_factory=dict)
     #: Records dropped under a ``dead_letter`` policy, in failure order.
     dead_letters: List[DeadLetter] = field(default_factory=list)
-    #: Delta of the shared request scheduler's counters over this
-    #: execution (submitted, completed, dedup hits, batches, ...) when
-    #: the executor runs against a :class:`repro.runtime.RequestScheduler`.
-    scheduler: Optional[Dict[str, Any]] = None
     #: Running cost account of this execution's ``plan`` span, charged as
-    #: its LLM requests finish, when the executor has a tracer.
-    cost: Optional[CostAccount] = None
+    #: its LLM requests finish.
+    cost: CostAccount = field(default_factory=CostAccount)
 
     def node(self, name: str) -> NodeStats:
         """Per-node stats record (created on first access)."""
@@ -130,21 +126,15 @@ class Executor:
     batch_size:
         Records pulled per scheduling round in parallel mode; bounds
         memory while keeping workers busy.
-    scheduler:
-        Optional :class:`repro.runtime.RequestScheduler` the plan's LLM
-        call sites submit through. The executor does not dispatch through
-        it directly — transforms hold their own scheduled clients — but
-        snapshots its counters around each execution so
-        :class:`ExecutionStats` reports the plan's share of queue
-        traffic, batching and dedup savings.
     tracer:
-        Optional :class:`~repro.observability.Tracer`. Each execution
-        gets a ``plan`` span with one ``transform`` span per per-record
-        node; task functions run *under* their node's transform span
-        (attached per call; parallel submissions each carry their own
-        copied :mod:`contextvars` context), so any LLM request spans
-        they open become its descendants. ``ExecutionStats.cost`` is the
-        plan span's running cost account.
+        The :class:`~repro.observability.Tracer` to record into (default:
+        a private one). Each execution gets a ``plan`` span with one
+        ``transform`` span per per-record node; task functions run
+        *under* their node's transform span (attached per call; parallel
+        submissions each carry their own copied :mod:`contextvars`
+        context), so any LLM request spans they open become its
+        descendants. ``ExecutionStats.cost`` is the plan span's running
+        cost account.
     registry:
         :class:`~repro.observability.MetricsRegistry` for aggregate
         record/retry counters (default: the process registry).
@@ -158,7 +148,6 @@ class Executor:
         lineage: Optional[Lineage] = None,
         batch_size: int = 32,
         on_error: str = "retry",
-        scheduler: Optional[Any] = None,
         tracer: Optional[Tracer] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
@@ -175,8 +164,7 @@ class Executor:
         self.lineage = lineage
         self.batch_size = batch_size
         self.on_error = on_error
-        self.scheduler = scheduler
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.registry = registry if registry is not None else get_registry()
         reg = self.registry
         self._m_executions = reg.counter("executor.executions")
@@ -195,23 +183,16 @@ class Executor:
         stats = ExecutionStats()
         self.last_stats = stats
         self._m_executions.inc()
-        if self.tracer is not None:
-            plan_span = self.tracer.start_span(
-                f"execute:{plan.node.name}", kind="plan", root=plan.node.name
-            )
-            stats.cost = open_account(plan_span)
-            with self.tracer.attach(plan_span):
-                iterator = self._run_node(plan.node, stats)
-            iterator = self._finish_plan_span(iterator, plan_span)
-        else:
+        plan_span = self.tracer.start_span(
+            f"execute:{plan.node.name}", kind="plan", root=plan.node.name
+        )
+        stats.cost = open_account(plan_span)
+        with self.tracer.attach(plan_span):
             iterator = self._run_node(plan.node, stats)
-        if self.scheduler is None:
-            return iterator
-        return self._track_scheduler(iterator, stats, self.scheduler.metrics())
+        return self._finish_plan_span(iterator, plan_span)
 
     def _finish_plan_span(self, iterator: Iterator[Any], span: Span) -> Iterator[Any]:
         """Close the plan span when iteration ends."""
-        assert self.tracer is not None
         try:
             yield from iterator
         except GeneratorExit:  # consumer stopped early: not an error
@@ -224,20 +205,6 @@ class Executor:
             raise
         else:
             self.tracer.finish(span)
-
-    def _track_scheduler(
-        self, iterator: Iterator[Any], stats: ExecutionStats, before: Dict[str, Any]
-    ) -> Iterator[Any]:
-        """Attribute the scheduler-counter delta of this run to its stats."""
-        try:
-            yield from iterator
-        finally:
-            after = self.scheduler.metrics()
-            stats.scheduler = {
-                key: round(after[key] - before[key], 6)
-                for key in before
-                if isinstance(before[key], (int, float))
-            }
 
     def take_all(self, plan: Plan) -> List[Any]:
         """Execute and collect every output record."""
@@ -314,23 +281,18 @@ class Executor:
     def _run_per_record(
         self, node: PlanNode, upstream: Iterator[Any], stats: ExecutionStats, mode: str
     ) -> Iterator[Any]:
-        span: Optional[Span] = None
-        if self.tracer is not None:
-            span = self.tracer.start_span(
-                f"transform:{node.name}", kind="transform", node=node.name, mode=mode
-            )
+        span = self.tracer.start_span(
+            f"transform:{node.name}", kind="transform", node=node.name, mode=mode
+        )
         if self.parallelism == 1:
             inner = self._per_record_serial(node, upstream, stats, mode, span)
         else:
             inner = self._per_record_parallel(node, upstream, stats, mode, span)
-        if span is None:
-            return inner
         return self._finish_node_span(inner, span, stats.node(node.name))
 
     def _finish_node_span(
         self, iterator: Iterator[Any], span: Span, node_stats: NodeStats
     ) -> Iterator[Any]:
-        assert self.tracer is not None
         try:
             yield from iterator
         except GeneratorExit:
@@ -359,17 +321,14 @@ class Executor:
         upstream: Iterator[Any],
         stats: ExecutionStats,
         mode: str,
-        span: Optional[Span] = None,
+        span: Span,
     ) -> Iterator[Any]:
         node_stats = stats.node(node.name)
         for record in upstream:
             node_stats.records_in += 1
             self._m_records_in.inc()
             start = time.perf_counter()
-            if span is not None and self.tracer is not None:
-                with self.tracer.attach(span):
-                    result = self._apply_with_retry(node, record, node_stats, stats)
-            else:
+            with self.tracer.attach(span):
                 result = self._apply_with_retry(node, record, node_stats, stats)
             node_stats.wall_time_s += time.perf_counter() - start
             yield from self._emit(node, record, result, mode, node_stats)
@@ -380,7 +339,7 @@ class Executor:
         upstream: Iterator[Any],
         stats: ExecutionStats,
         mode: str,
-        span: Optional[Span] = None,
+        span: Span,
     ) -> Iterator[Any]:
         node_stats = stats.node(node.name)
         start = time.perf_counter()
@@ -409,10 +368,7 @@ class Executor:
                     # entered concurrently); the copy carries the
                     # transform span — and the query's CancelScope — as
                     # the worker's ambient state.
-                    if span is not None and self.tracer is not None:
-                        with self.tracer.attach(span):
-                            task_ctx = contextvars.copy_context()
-                    else:
+                    with self.tracer.attach(span):
                         task_ctx = contextvars.copy_context()
                     future = pool.submit(
                         task_ctx.run,

@@ -20,8 +20,8 @@ from .middleware import (
     RequestContext,
     RequestIdMiddleware,
     Response,
-    TokenBucket,
 )
+from ..llm.client import TokenBucket
 from .server import Gateway, GatewayConfig, error_response, format_sse
 
 __all__ = [

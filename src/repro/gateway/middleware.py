@@ -33,6 +33,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from ..llm.client import TokenBucket
+
 __all__ = [
     "AccessLogMiddleware",
     "AccessRecord",
@@ -42,7 +44,6 @@ __all__ = [
     "RequestContext",
     "RequestIdMiddleware",
     "Response",
-    "TokenBucket",
 ]
 
 
@@ -192,47 +193,11 @@ class BearerAuthMiddleware(Middleware):
 # ----------------------------------------------------------------------
 
 
-class TokenBucket:
-    """A classic token bucket: ``rate`` tokens/second, ``burst`` capacity.
-
-    Thread-safe; refills lazily on each acquire (no timer thread). On
-    refusal it reports how long until one token will be available — the
-    ``Retry-After`` hint.
-    """
-
-    def __init__(
-        self,
-        rate: float,
-        burst: float,
-        clock: Callable[[], float] = time.monotonic,
-    ):
-        if rate <= 0 or burst <= 0:
-            raise ValueError("rate and burst must be > 0")
-        self.rate = rate
-        self.burst = burst
-        self._clock = clock
-        self._tokens = burst
-        self._last = clock()
-        self._lock = threading.Lock()
-
-    def try_acquire(self, n: float = 1.0) -> "tuple[bool, float]":
-        """(granted, retry_after_s). ``retry_after_s`` is 0 on grant."""
-        with self._lock:
-            now = self._clock()
-            self._tokens = min(
-                self.burst, self._tokens + (now - self._last) * self.rate
-            )
-            self._last = now
-            if self._tokens >= n:
-                self._tokens -= n
-                return True, 0.0
-            return False, (n - self._tokens) / self.rate
-
-
 class RateLimitMiddleware(Middleware):
     """Per-tenant token-bucket rate limiting at the network edge.
 
-    One bucket per tenant (auto-created on first sight). Over-rate
+    One :class:`~repro.llm.client.TokenBucket` per tenant (auto-created
+    on first sight), the same bucket that throttles LLM calls. Over-rate
     requests are shed 429 with both a ``Retry-After`` header and a
     machine-precision ``retry_after_s`` in the body — same typed-shed
     shape as the serving layer's :class:`~repro.serving.Overloaded`, so

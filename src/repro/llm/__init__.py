@@ -14,7 +14,8 @@ All Sycamore LLM transforms and Luna operators accept any
 """
 
 from .base import DEFAULT_MODELS, LLMClient, LLMResponse, ModelSpec, Usage, get_model_spec
-from .client import CircuitBreaker, RateLimiter, ReliableLLM, repair_json
+from .base import repair_json
+from .client import CircuitBreaker, ReliableLLM, TokenBucket
 from .cost import CallRecord, CostSummary, CostTracker
 from .errors import (
     CircuitOpenError,
@@ -66,11 +67,11 @@ __all__ = [
     "PLAN_QUERY",
     "PromptTemplate",
     "RateLimitError",
-    "RateLimiter",
     "ReliableLLM",
     "SUMMARIZE_COLLECTION",
     "SUMMARIZE_DOCUMENT",
     "SimulatedLLM",
+    "TokenBucket",
     "TransientLLMError",
     "UnknownModelError",
     "Usage",

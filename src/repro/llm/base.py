@@ -11,10 +11,12 @@ cost/quality trade-off the optimizer navigates is real.
 from __future__ import annotations
 
 import abc
+import json
+import re
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, List, Optional
 
-from .errors import UnknownModelError
+from .errors import MalformedOutputError, UnknownModelError
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,74 @@ def price_usd(model: str, usage: "Usage") -> float:
     return spec.cost_usd(usage.input_tokens, usage.output_tokens)
 
 
+def repair_json(text: str) -> Any:
+    """Parse model output as JSON, tolerating the usual LLM damage.
+
+    Tries, in order: direct parse; stripping Markdown code fences;
+    extracting the outermost ``{...}`` or ``[...]`` span; removing
+    trailing commas; and closing unbalanced brackets/braces on truncated
+    output. Raises :class:`MalformedOutputError` when nothing works.
+    """
+    candidates = [text]
+    fenced = re.search(r"```(?:json)?\s*(.*?)```", text, re.DOTALL)
+    if fenced:
+        candidates.append(fenced.group(1))
+    for opener, closer in (("{", "}"), ("[", "]")):
+        start = text.find(opener)
+        end = text.rfind(closer)
+        if start != -1 and end > start:
+            candidates.append(text[start : end + 1])
+        if start != -1:
+            candidates.append(_close_brackets(text[start:]))
+    for candidate in candidates:
+        for attempt in (candidate, re.sub(r",\s*([}\]])", r"\1", candidate)):
+            try:
+                return json.loads(attempt)
+            except (json.JSONDecodeError, ValueError):
+                continue
+    raise MalformedOutputError("could not parse output as JSON", raw_output=text)
+
+
+def _close_brackets(fragment: str) -> str:
+    """Best-effort completion of a truncated JSON fragment."""
+    stack: List[str] = []
+    in_string = False
+    escaped = False
+    string_start = -1
+    for position, ch in enumerate(fragment):
+        if escaped:
+            escaped = False
+            continue
+        if ch == "\\":
+            escaped = True
+            continue
+        if ch == '"':
+            in_string = not in_string
+            if in_string:
+                string_start = position
+            continue
+        if in_string:
+            continue
+        if ch in "{[":
+            stack.append("}" if ch == "{" else "]")
+        elif ch in "}]" and stack:
+            stack.pop()
+    repaired = fragment
+    if in_string:
+        # The cut fell inside a string. If that string is an object *key*
+        # (preceded by '{' or ','), drop it — a quote-closed key with no
+        # value is still invalid. A cut *value* (preceded by ':') can be
+        # closed in place. Inside an array, closing in place is valid too.
+        before = fragment[:string_start].rstrip()
+        if before.endswith(("{", ",")) and (stack and stack[-1] == "}"):
+            repaired = before
+        else:
+            repaired += '"'
+    # Drop a dangling comma/colon left at the end.
+    repaired = re.sub(r"[,:]\s*$", "", repaired)
+    return repaired + "".join(reversed(stack))
+
+
 @dataclass
 class Usage:
     """Token usage of one or more calls (additive)."""
@@ -152,8 +222,10 @@ class LLMResponse:
 class LLMClient(abc.ABC):
     """Protocol every LLM backend implements.
 
-    ``complete`` is synchronous; batching and parallelism are layered on
-    top by :class:`repro.llm.client.ReliableLLM` and the execution engine.
+    ``complete`` is synchronous and the only method a backend must
+    write; ``complete_json``, ``complete_many`` and ``forget`` have
+    defaults built on it. Parallel batches and caching are layered on
+    top by :class:`repro.llm.client.ReliableLLM` and the scheduler.
     """
 
     @abc.abstractmethod
@@ -165,3 +237,68 @@ class LLMClient(abc.ABC):
         temperature: float = 0.0,
     ) -> LLMResponse:
         """Generate a completion for ``prompt`` using ``model``."""
+
+    def complete_json(
+        self,
+        prompt: str,
+        model: str = "sim-large",
+        max_output_tokens: Optional[int] = None,
+        json_retries: int = 2,
+    ) -> Any:
+        """Complete and parse the output as JSON, retrying malformed output.
+
+        Retries nudge the temperature, which takes them out of response
+        caches and the scheduler's dedup/batch pool (a retry must not be
+        collapsed onto the request that just produced garbage), and the
+        malformed answer is :meth:`forget`-ten so a cached copy never
+        poisons a later identical request.
+        """
+        last_error: Optional[MalformedOutputError] = None
+        for attempt in range(json_retries + 1):
+            response = self.complete(
+                prompt,
+                model=model,
+                max_output_tokens=max_output_tokens,
+                temperature=0.0 if attempt == 0 else 0.1,
+            )
+            try:
+                return repair_json(response.text)
+            except MalformedOutputError as exc:
+                last_error = exc
+                self.forget(model, prompt, max_output_tokens)
+        assert last_error is not None
+        raise last_error
+
+    def forget(
+        self, model: str, prompt: str, max_output_tokens: Optional[int]
+    ) -> None:
+        """Drop any cached response to this request (no cache: no-op)."""
+
+    def complete_many(
+        self,
+        prompts: List[str],
+        model: str = "sim-large",
+        max_output_tokens: Optional[int] = None,
+        parallelism: int = 8,
+        return_exceptions: bool = False,
+    ) -> "List[LLMResponse | Exception]":
+        """Complete each prompt in turn, in input order.
+
+        With ``return_exceptions`` a failed completion occupies its slot
+        as the exception instance instead of aborting the batch.
+        ``parallelism`` is a hint this sequential default ignores.
+        """
+        del parallelism
+        results: "List[LLMResponse | Exception]" = []
+        for prompt in prompts:
+            try:
+                results.append(
+                    self.complete(
+                        prompt, model=model, max_output_tokens=max_output_tokens
+                    )
+                )
+            except Exception as exc:  # noqa: BLE001 - isolate per prompt
+                if not return_exceptions:
+                    raise
+                results.append(exc)
+        return results

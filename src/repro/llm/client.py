@@ -12,14 +12,12 @@ used by the execution engine to parallelize per-document LLM transforms.
 from __future__ import annotations
 
 import contextvars
-import json
 import random
-import re
 import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..lifecycle.deadline import check_scope, remaining_budget
 from ..observability.metrics import MetricsRegistry, get_registry
@@ -29,124 +27,73 @@ from .cost import CostTracker
 from .errors import (
     CircuitOpenError,
     LLMTimeoutError,
-    MalformedOutputError,
     RateLimitError,
     TransientLLMError,
 )
 
 
-def repair_json(text: str) -> Any:
-    """Parse model output as JSON, tolerating the usual LLM damage.
+class TokenBucket:
+    """Token bucket: ``rate`` tokens per second, at most ``burst`` banked.
 
-    Tries, in order: direct parse; stripping Markdown code fences;
-    extracting the outermost ``{...}`` or ``[...]`` span; removing
-    trailing commas; and closing unbalanced brackets/braces on truncated
-    output. Raises :class:`MalformedOutputError` when nothing works.
-    """
-    candidates = [text]
-    fenced = re.search(r"```(?:json)?\s*(.*?)```", text, re.DOTALL)
-    if fenced:
-        candidates.append(fenced.group(1))
-    for opener, closer in (("{", "}"), ("[", "]")):
-        start = text.find(opener)
-        end = text.rfind(closer)
-        if start != -1 and end > start:
-            candidates.append(text[start : end + 1])
-        if start != -1:
-            candidates.append(_close_brackets(text[start:]))
-    for candidate in candidates:
-        for attempt in (candidate, re.sub(r",\s*([}\]])", r"\1", candidate)):
-            try:
-                return json.loads(attempt)
-            except (json.JSONDecodeError, ValueError):
-                continue
-    raise MalformedOutputError("could not parse output as JSON", raw_output=text)
+    Refills lazily on each call (no timer thread); ``burst`` defaults to
+    ``rate``. Two ways to take a token:
 
+    * :meth:`acquire` blocks. The lock is held only long enough to
+      *reserve* a slot; the sleep happens outside it, so concurrent
+      waiters queue up behind the bucket, not behind one sleeping thread.
+    * :meth:`try_acquire` never waits: it grants, or refuses and reports
+      how long until a token is due (an HTTP ``Retry-After`` hint).
 
-def _close_brackets(fragment: str) -> str:
-    """Best-effort completion of a truncated JSON fragment."""
-    stack: List[str] = []
-    in_string = False
-    escaped = False
-    string_start = -1
-    for position, ch in enumerate(fragment):
-        if escaped:
-            escaped = False
-            continue
-        if ch == "\\":
-            escaped = True
-            continue
-        if ch == '"':
-            in_string = not in_string
-            if in_string:
-                string_start = position
-            continue
-        if in_string:
-            continue
-        if ch in "{[":
-            stack.append("}" if ch == "{" else "]")
-        elif ch in "}]" and stack:
-            stack.pop()
-    repaired = fragment
-    if in_string:
-        # The cut fell inside a string. If that string is an object *key*
-        # (preceded by '{' or ','), drop it — a quote-closed key with no
-        # value is still invalid. A cut *value* (preceded by ':') can be
-        # closed in place. Inside an array, closing in place is valid too.
-        before = fragment[:string_start].rstrip()
-        if before.endswith(("{", ",")) and (stack and stack[-1] == "}"):
-            repaired = before
-        else:
-            repaired += '"'
-    # Drop a dangling comma/colon left at the end.
-    repaired = re.sub(r"[,:]\s*$", "", repaired)
-    return repaired + "".join(reversed(stack))
-
-
-class RateLimiter:
-    """Token-bucket rate limiter (requests per second).
-
-    Disabled limiters cost nothing. The clock is injectable so tests can
-    drive it deterministically. The lock is held only long enough to
-    *reserve* a slot — the sleep itself happens outside it, so concurrent
-    waiters queue up behind the bucket, not behind one sleeping thread.
+    Thread-safe; clock and sleeper are injectable for deterministic tests.
     """
 
     def __init__(
         self,
-        requests_per_second: Optional[float] = None,
+        rate: float,
+        burst: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
     ):
-        self.rate = requests_per_second
+        burst = rate if burst is None else burst
+        if rate <= 0 or burst <= 0:
+            raise ValueError("rate and burst must be > 0")
+        self.rate = rate
+        self.burst = burst
         self._clock = clock
         self._sleeper = sleeper
         self._lock = threading.Lock()
-        self._allowance = requests_per_second or 0.0
+        self._tokens = burst
         self._last = clock()
 
-    def acquire(self) -> None:
-        """Block (via the sleeper) until a request slot is available."""
-        if self.rate is None:
-            return
+    def _refill_locked(self) -> float:
+        now = self._clock()
+        self._tokens = min(self.burst, self._tokens + (now - self._last) * self.rate)
+        self._last = now
+        return now
+
+    def try_acquire(self, n: float = 1.0) -> Tuple[bool, float]:
+        """(granted, retry_after_s). ``retry_after_s`` is 0 on grant."""
         with self._lock:
-            now = self._clock()
-            self._allowance = min(
-                self.rate, self._allowance + (now - self._last) * self.rate
-            )
-            self._last = now
-            if self._allowance >= 1.0:
-                self._allowance -= 1.0
-                wait = 0.0
-            else:
-                # Reserve the next slot: account for the tokens that will
-                # have accrued by the end of the wait, then go to sleep
-                # WITHOUT the lock so other threads can reserve after us.
-                wait = (1.0 - self._allowance) / self.rate
-                self._allowance = 0.0
-                self._last = now + wait
-        if wait > 0.0:
-            self._sleeper(wait)
+            self._refill_locked()
+            if self._tokens >= n:
+                self._tokens -= n
+                return True, 0.0
+            return False, (n - self._tokens) / self.rate
+
+    def acquire(self) -> None:
+        """Block (via the sleeper) until a token is available."""
+        with self._lock:
+            now = self._refill_locked()
+            if self._tokens >= 1.0:
+                self._tokens -= 1.0
+                return
+            # Reserve the next slot: count the tokens that will have
+            # accrued by the end of the wait, then sleep WITHOUT the lock
+            # so other threads can reserve after us.
+            wait = (1.0 - self._tokens) / self.rate
+            self._tokens = 0.0
+            self._last = now + wait
+        self._sleeper(wait)
 
 
 class CircuitBreaker:
@@ -276,10 +223,13 @@ class ReliableLLM(LLMClient):
         so per-query accounting stays conservative; real backend calls
         are recorded by the backend itself. Defaults to the backend's
         own ``tracker`` attribute when it has one.
+    rate_limiter:
+        Optional :class:`TokenBucket` every backend attempt takes a
+        token from; None means no throttling.
     tracer:
-        Optional :class:`~repro.observability.Tracer`. When set, every
-        ``complete`` call runs inside an ``llm_request`` span carrying
-        model, token, dollar and retry attributes.
+        The :class:`~repro.observability.Tracer` that records one
+        ``llm_request`` span per ``complete`` call, carrying model,
+        token, dollar and retry attributes (default: a private one).
     registry:
         :class:`~repro.observability.MetricsRegistry` to publish
         reliability counters into (default: the process registry).
@@ -293,7 +243,7 @@ class ReliableLLM(LLMClient):
         backoff_jitter: float = 0.0,
         cache_enabled: bool = True,
         cache_max_entries: int = 4096,
-        rate_limiter: Optional[RateLimiter] = None,
+        rate_limiter: Optional[TokenBucket] = None,
         retry_budget: Optional[int] = None,
         request_timeout_s: Optional[float] = None,
         total_timeout_s: Optional[float] = None,
@@ -318,7 +268,7 @@ class ReliableLLM(LLMClient):
         self.backoff_jitter = backoff_jitter
         self.cache_enabled = cache_enabled
         self.cache_max_entries = cache_max_entries
-        self.rate_limiter = rate_limiter or RateLimiter(None)
+        self.rate_limiter = rate_limiter
         self.retry_budget = retry_budget
         self.request_timeout_s = request_timeout_s
         self.total_timeout_s = total_timeout_s
@@ -344,7 +294,7 @@ class ReliableLLM(LLMClient):
         self.tracker = tracker if tracker is not None else getattr(
             backend, "tracker", None
         )
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.registry = registry if registry is not None else get_registry()
         reg = self.registry
         self._m_requests = reg.counter("llm.requests")
@@ -388,8 +338,6 @@ class ReliableLLM(LLMClient):
         temperature: float = 0.0,
     ) -> LLMResponse:
         """Generate a completion for the prompt (see LLMClient)."""
-        if self.tracer is None:
-            return self._complete(prompt, model, max_output_tokens, temperature, None)
         with self.tracer.span(
             f"llm:{model}", kind="llm_request", model=model
         ) as span:
@@ -401,7 +349,7 @@ class ReliableLLM(LLMClient):
         model: str,
         max_output_tokens: Optional[int],
         temperature: float,
-        span: Optional[Span],
+        span: Span,
     ) -> LLMResponse:
         key = (model, prompt, max_output_tokens)
         cacheable = self.cache_enabled and temperature == 0.0
@@ -445,7 +393,8 @@ class ReliableLLM(LLMClient):
             check_scope()
             if attempt > 0:
                 self._check_overall(overall_started, last_error)
-            self.rate_limiter.acquire()
+            if self.rate_limiter is not None:
+                self.rate_limiter.acquire()
             if self.circuit_breaker is not None and not self.circuit_breaker.allow():
                 self._m_circuit_rejections.inc()
                 raise CircuitOpenError(
@@ -500,10 +449,8 @@ class ReliableLLM(LLMClient):
         self._account(span, response, retries=retries_used)
         return response
 
-    def _account(
-        self, span: Optional[Span], response: LLMResponse, retries: int
-    ) -> None:
-        """Publish one served response into the registry (and its span)."""
+    def _account(self, span: Span, response: LLMResponse, retries: int) -> None:
+        """Publish one served response into the registry and its span."""
         usage = response.usage
         full_cost = price_usd(response.model, usage)
         cost = 0.0 if response.cached else full_cost
@@ -515,45 +462,14 @@ class ReliableLLM(LLMClient):
         if saved:
             self._m_saved_usd.inc(saved)
         self._m_latency.observe(response.latency_s)
-        if span is not None:
-            span.set_attributes(
-                input_tokens=usage.input_tokens,
-                output_tokens=usage.output_tokens,
-                cost_usd=cost,
-                saved_usd=saved,
-                cached=response.cached,
-                retries=retries,
-            )
-
-    def complete_json(
-        self,
-        prompt: str,
-        model: str = "sim-large",
-        max_output_tokens: Optional[int] = None,
-        json_retries: int = 2,
-    ) -> Any:
-        """Complete and parse the output as JSON, retrying malformed output.
-
-        Retries bypass the response cache (a cached malformed answer would
-        never heal) and nudge the temperature so a stochastic backend can
-        produce different output.
-        """
-        last_error: Optional[MalformedOutputError] = None
-        for attempt in range(json_retries + 1):
-            temperature = 0.0 if attempt == 0 else 0.1
-            response = self.complete(
-                prompt,
-                model=model,
-                max_output_tokens=max_output_tokens,
-                temperature=temperature,
-            )
-            try:
-                return repair_json(response.text)
-            except MalformedOutputError as exc:
-                last_error = exc
-                self._drop_cached(model, prompt, max_output_tokens)
-        assert last_error is not None
-        raise last_error
+        span.set_attributes(
+            input_tokens=usage.input_tokens,
+            output_tokens=usage.output_tokens,
+            cost_usd=cost,
+            saved_usd=saved,
+            cached=response.cached,
+            retries=retries,
+        )
 
     def complete_many(
         self,
@@ -702,7 +618,10 @@ class ReliableLLM(LLMClient):
             self.retries_performed += 1
         self._m_retries.inc()
 
-    def _drop_cached(self, model: str, prompt: str, max_output_tokens: Optional[int]) -> None:
+    def forget(
+        self, model: str, prompt: str, max_output_tokens: Optional[int]
+    ) -> None:
+        """Drop the cached response to this request, if any."""
         with self._cache_lock:
             self._cache.pop((model, prompt, max_output_tokens), None)
 

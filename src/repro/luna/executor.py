@@ -93,14 +93,13 @@ class ExecutionTrace:
     #: True when any record or operator was lost along the way — the
     #: answer is computed from an incomplete document stream.
     partial: bool = False
-    #: Id of the query's span tree in the context tracer (empty when the
-    #: query ran untraced); feed it to ``Tracer.trace_spans`` or the
-    #: ``python -m repro trace`` command.
+    #: Id of the query's span tree in the context tracer; feed it to
+    #: ``Tracer.trace_spans`` or the ``python -m repro trace`` command.
     trace_id: str = ""
     #: The query span's running per-operator cost account (tokens,
     #: dollars, retries, cache/dedup savings), charged as its LLM requests
     #: finish. Same attribution rule as the JSON trace export.
-    cost: Optional[CostAccount] = None
+    cost: CostAccount = field(default_factory=CostAccount)
     #: Nodes freshly executed this run vs. replayed from a journal
     #: checkpoint — the counters the chaos-recovery gate asserts on.
     nodes_executed: int = 0
@@ -223,7 +222,7 @@ class LunaExecutor:
         # nodes pick it up from here (see _cluster_route).
         self._current_query_id = query_id
         fatal = self.error_policy == "fail"
-        tracer = getattr(self.context, "tracer", None)
+        tracer = self.context.tracer
         results: Dict[int, Any] = {}
         trace = ExecutionTrace()
         for index, node in enumerate(plan.nodes):
@@ -252,43 +251,30 @@ class LunaExecutor:
             self._last_plan_stats = None
             self._last_cluster_stats = None
             error: Optional[str] = None
-            op_span = None
-            spent = CostAccount()
-            if tracer is not None:
-                # op[i] names are unique per plan node, so two operators
-                # with the same operation roll up separately in the
-                # CostAccount.
-                op_span = tracer.start_span(
-                    f"op[{index}]:{node.operation}",
-                    kind="operator",
-                    operation=node.operation,
-                    description=node.description,
-                )
-                spent = open_account(op_span)
-                trace.trace_id = trace.trace_id or op_span.trace_id
+            # op[i] names are unique per plan node, so two operators with
+            # the same operation roll up separately in the CostAccount.
+            op_span = tracer.start_span(
+                f"op[{index}]:{node.operation}",
+                kind="operator",
+                operation=node.operation,
+                description=node.description,
+            )
+            spent = open_account(op_span)
+            trace.trace_id = trace.trace_id or op_span.trace_id
             try:
                 check_scope()
-                if op_span is not None:
-                    with tracer.attach(op_span):
-                        output = self._run_node(node, inputs, results)
-                else:
+                with tracer.attach(op_span):
                     output = self._run_node(node, inputs, results)
             except QueryCancelled as exc:
                 # Cancellation never degrades: the submitter walked away,
                 # a partial answer has no audience.
-                if op_span is not None:
-                    tracer.finish(
-                        op_span, status="error", error=f"QueryCancelled: {exc}"
-                    )
+                tracer.finish(op_span, status="error", error=f"QueryCancelled: {exc}")
                 raise
             except DeadlineExceeded as exc:
                 if fatal:
-                    if op_span is not None:
-                        tracer.finish(
-                            op_span,
-                            status="error",
-                            error=f"DeadlineExceeded: {exc}",
-                        )
+                    tracer.finish(
+                        op_span, status="error", error=f"DeadlineExceeded: {exc}"
+                    )
                     raise
                 # Budget exhausted: this node (and, via the checkpoint at
                 # the top of the loop, every later node) degrades to a
@@ -298,12 +284,9 @@ class LunaExecutor:
                 output = inputs[0] if inputs else []
             except (PlanValidationError, mathops.MathEvaluationError) as exc:
                 if fatal:
-                    if op_span is not None:
-                        tracer.finish(
-                            op_span,
-                            status="error",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
+                    tracer.finish(
+                        op_span, status="error", error=f"{type(exc).__name__}: {exc}"
+                    )
                     raise PlanExecutionError(
                         f"node {index} ({node.operation}): {exc}"
                     ) from exc
@@ -311,26 +294,20 @@ class LunaExecutor:
                 output = inputs[0] if inputs else []
             except Exception as exc:  # noqa: BLE001 - contain under non-fatal policy
                 if fatal:
-                    if op_span is not None:
-                        tracer.finish(
-                            op_span,
-                            status="error",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
+                    tracer.finish(
+                        op_span, status="error", error=f"{type(exc).__name__}: {exc}"
+                    )
                     raise
                 error = f"{type(exc).__name__}: {exc}"
                 output = inputs[0] if inputs else []
             duration = time.perf_counter() - start
-            if op_span is not None:
-                op_span.set_attributes(
-                    records_in=_count_records(inputs[0]) if inputs else 0,
-                    records_out=_count_records(output),
-                )
-                tracer.finish(
-                    op_span,
-                    status="error" if error is not None else "ok",
-                    error=error,
-                )
+            op_span.set_attributes(
+                records_in=_count_records(inputs[0]) if inputs else 0,
+                records_out=_count_records(output),
+            )
+            tracer.finish(
+                op_span, status="error" if error is not None else "ok", error=error
+            )
             results[index] = output
             trace.nodes_executed += 1
             if journal_writer is not None and error is None:

@@ -63,7 +63,7 @@ class LunaResult:
             f"Total LLM calls: {self.trace.total_llm_calls()}  "
             f"cost: ${self.trace.total_cost_usd():.4f}",
         ]
-        if self.trace.cost is not None and self.trace.cost.operators:
+        if self.trace.cost.operators:
             parts += ["", "Cost account:", self.trace.cost.render()]
         if self.trace.optimizer_report is not None:
             parts += ["", self.trace.optimizer_report.render()]
@@ -171,15 +171,12 @@ class Luna:
         """Start an inspect-before-run session (human-in-the-loop)."""
         named_index = self.context.catalog.get(index)
         secondary = [self.context.catalog.get(name) for name in secondary_indexes]
-        tracer = getattr(self.context, "tracer", None)
-        plan_cost = None
-        if tracer is not None:
-            # Planning is traced separately from execution: a session may
-            # sit between plan and run (human inspection) for minutes.
-            with tracer.span("plan:luna", kind="plan", question=question) as span:
-                plan_cost = open_account(span)
-                plan = self.planner.plan(question, named_index, secondary=secondary)
-        else:
+        # Planning is traced separately from execution: a session may sit
+        # between plan and run (human inspection) for minutes.
+        with self.context.tracer.span(
+            "plan:luna", kind="plan", question=question
+        ) as span:
+            plan_cost = open_account(span)
             plan = self.planner.plan(question, named_index, secondary=secondary)
         return LunaSession(
             luna=self, question=question, index=index, plan=plan, plan_cost=plan_cost
@@ -224,10 +221,10 @@ class Luna:
     ) -> LunaResult:
         """Optimize and execute an explicit plan (bypassing the planner).
 
-        With a traced context, the whole execution becomes one span tree
-        rooted at a ``query`` span (each query is its own trace), and the
-        resulting :class:`ExecutionTrace` carries the ``trace_id`` and the
-        query span's :class:`~repro.observability.CostAccount`.
+        The whole execution becomes one span tree rooted at a ``query``
+        span, and the resulting :class:`ExecutionTrace` carries its
+        ``trace_id`` and the query span's
+        :class:`~repro.observability.CostAccount`.
 
         With a journal and a ``query_id``, the *optimized* plan is logged
         before execution and every node output is durably checkpointed —
@@ -249,31 +246,23 @@ class Luna:
                 for name in self.context.catalog.names()
             },
         )
-        tracer = getattr(self.context, "tracer", None)
-        if tracer is None:
-            optimized, log, report = self._optimize(plan, named_index)
-            code = generate_code(optimized)
+        tracer = self.context.tracer
+        # Ambient-parented: standalone queries root their own trace;
+        # queries run under the serving layer nest beneath its
+        # per-request ``serve`` root span.
+        with tracer.span(
+            "query:luna", kind="query", question=question, index=index
+        ) as query_span:
+            cost = open_account(query_span)
+            with tracer.span("plan:optimize", kind="plan"):
+                optimized, log, report = self._optimize(plan, named_index)
+                code = generate_code(optimized)
             writer = self._journal_begin(query_id, question, index, optimized)
             answer, trace = self.executor.execute(
                 optimized, journal_writer=writer, query_id=query_id
             )
-        else:
-            # Ambient-parented: standalone queries root their own trace
-            # (the historical behaviour); queries run under the serving
-            # layer nest beneath its per-request ``serve`` root span.
-            with tracer.span(
-                "query:luna", kind="query", question=question, index=index
-            ) as query_span:
-                cost = open_account(query_span)
-                with tracer.span("plan:optimize", kind="plan"):
-                    optimized, log, report = self._optimize(plan, named_index)
-                    code = generate_code(optimized)
-                writer = self._journal_begin(query_id, question, index, optimized)
-                answer, trace = self.executor.execute(
-                    optimized, journal_writer=writer, query_id=query_id
-                )
-            trace.trace_id = query_span.trace_id
-            trace.cost = cost
+        trace.trace_id = query_span.trace_id
+        trace.cost = cost
         if report is not None:
             report.record_actuals(trace)
             trace.optimizer_report = report
@@ -358,31 +347,22 @@ class Luna:
             )
         code = generate_code(optimized)
         writer = lambda i, op, value: journal.node_complete(query_id, i, op, value)  # noqa: E731
-        tracer = getattr(self.context, "tracer", None)
-        if tracer is None:
+        with self.context.tracer.span(
+            "query:luna",
+            kind="query",
+            question=state.question,
+            index=state.index,
+            resumed=True,
+        ) as query_span:
+            cost = open_account(query_span)
             answer, trace = self.executor.execute(
                 optimized,
                 completed=state.completed,
                 journal_writer=writer,
                 query_id=query_id,
             )
-        else:
-            with tracer.span(
-                "query:luna",
-                kind="query",
-                question=state.question,
-                index=state.index,
-                resumed=True,
-            ) as query_span:
-                cost = open_account(query_span)
-                answer, trace = self.executor.execute(
-                    optimized,
-                    completed=state.completed,
-                    journal_writer=writer,
-                    query_id=query_id,
-                )
-            trace.trace_id = query_span.trace_id
-            trace.cost = cost
+        trace.trace_id = query_span.trace_id
+        trace.cost = cost
         journal.commit(query_id, answer)
         journal.registry.counter("lifecycle.resumes").inc()
         journal.registry.counter("lifecycle.nodes_replayed").inc(
@@ -423,8 +403,8 @@ class LunaSession:
     index: str
     plan: LogicalPlan
     #: The planning run's cost account, booked into the first run's
-    #: ``trace.cost``.
-    plan_cost: Optional[CostAccount] = None
+    #: ``trace.cost`` (later runs book an empty one).
+    plan_cost: CostAccount = field(default_factory=CostAccount)
 
     def show_plan(self) -> str:
         """The plan narrated step by step."""
@@ -462,9 +442,8 @@ class LunaSession:
         result = self.luna.execute_plan(
             self.question, self.index, self.plan, query_id=query_id
         )
-        plan_cost, self.plan_cost = self.plan_cost, None
-        if plan_cost is not None and result.trace.cost is not None:
-            result.trace.cost.merge(plan_cost)
+        plan_cost, self.plan_cost = self.plan_cost, CostAccount()
+        result.trace.cost.merge(plan_cost)
         return result
 
     def _node(self, node_index: int) -> PlanNode:

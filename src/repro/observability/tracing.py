@@ -26,6 +26,11 @@ Span-propagation rules (the invariants instrumented code relies on):
   at submit time (under the submitter's context) and *linked* to the
   batch span via the ``batch_span`` attribute instead of being
   reparented; the batch span lives in its own trace.
+* A span is recorded by the tracer that recorded its parent, whichever
+  tracer starts it, so a trace never spans two tracers (ids are only
+  unique within one) and a component with a private tracer still files
+  its spans under the caller's trace. Only roots are recorded by the
+  tracer that starts them.
 * Spans are recorded at start (open spans are visible in snapshots) and
   immutable-by-convention after :meth:`Tracer.finish`.
 * :meth:`Tracer.finish` charges a request to the cost accounts of its
@@ -63,6 +68,8 @@ class Span:
     name: str
     kind: str
     start_s: float
+    #: The tracer that records this span (and every descendant).
+    tracer: "Tracer" = field(repr=False, compare=False)
     end_s: Optional[float] = None
     status: str = "ok"
     error: Optional[str] = None
@@ -150,11 +157,18 @@ class Tracer:
         """Create (and record) a new span.
 
         ``parent`` defaults to the ambient span; pass ``None`` to force a
-        new root (which starts a new trace).
+        new root (which starts a new trace in this tracer). A child is
+        recorded by its parent's tracer.
         """
         if parent is _AMBIENT:
             parent = _CURRENT_SPAN.get()
         assert parent is None or isinstance(parent, Span)
+        recorder = self if parent is None else parent.tracer
+        return recorder._record(name, kind, parent, attributes)
+
+    def _record(
+        self, name: str, kind: str, parent: Optional[Span], attributes: Dict[str, Any]
+    ) -> Span:
         now = self._clock()
         with self._lock:
             self._span_counter += 1
@@ -173,6 +187,7 @@ class Tracer:
                 name=name,
                 kind=kind,
                 start_s=now,
+                tracer=self,
                 attributes=dict(attributes),
                 parent=parent,
             )

@@ -134,37 +134,29 @@ class RagPipeline:
     def answer(self, question: str, tracer: Optional[Tracer] = None) -> RagAnswer:
         """Retrieve context and generate a grounded answer.
 
-        ``tracer`` (or the scheduler's tracer, when one is bound) makes
-        the answer a ``query`` span tree: retrieval and generation become
-        child spans, so RAG runs are comparable with Luna traces.
+        The answer is a ``query`` span tree in ``tracer`` (default: the
+        LLM's): retrieval and generation become child spans, so RAG runs
+        are comparable with Luna traces.
         """
-        if tracer is None and self.scheduler is not None:
-            tracer = self.scheduler.tracer
         if tracer is None:
-            return self._answer(question)
+            tracer = self.llm.tracer
         with tracer.span(
             "query:rag", kind="query", parent=None, question=question
         ):
             return self._answer(question, tracer)
 
-    def _answer(self, question: str, tracer: Optional[Tracer] = None) -> RagAnswer:
+    def _answer(self, question: str, tracer: Tracer) -> RagAnswer:
         registry = get_registry()
         registry.counter("rag.questions").inc()
         # User questions are untrusted prompt input (prompt-taint lint).
         question = neutralize_markers(question)
-        if tracer is not None:
-            with tracer.span("rag:retrieve", kind="operator", top_k=self.top_k):
-                chunks = self.retrieve(question)
-        else:
+        with tracer.span("rag:retrieve", kind="operator", top_k=self.top_k):
             chunks = self.retrieve(question)
         context, used, truncated = self._pack_context(question, chunks)
         if truncated:
             registry.counter("rag.context_truncations").inc()
         prompt = ANSWER_QUESTION.render(question=question, context=context)
-        if tracer is not None:
-            with tracer.span("rag:generate", kind="operator"):
-                response = self._generator.complete(prompt, model=self.model)
-        else:
+        with tracer.span("rag:generate", kind="operator"):
             response = self._generator.complete(prompt, model=self.model)
         registry.histogram("rag.context_tokens").observe(count_tokens(context))
         return RagAnswer(

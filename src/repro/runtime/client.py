@@ -13,8 +13,6 @@ from typing import Any, List, Optional
 
 from ..lifecycle.deadline import wait_future
 from ..llm.base import LLMClient, LLMResponse
-from ..llm.client import repair_json
-from ..llm.errors import MalformedOutputError
 from .scheduler import Priority, RequestScheduler
 
 
@@ -60,39 +58,11 @@ class ScheduledLLM(LLMClient):
             timeout=self.request_timeout_s,
         )
 
-    def complete_json(
-        self,
-        prompt: str,
-        model: str = "sim-large",
-        max_output_tokens: Optional[int] = None,
-        json_retries: int = 2,
-    ) -> Any:
-        """Scheduled counterpart of :meth:`ReliableLLM.complete_json`.
-
-        Malformed-output retries nudge the temperature, which also takes
-        them out of the dedup/batch pool — a retry must not be collapsed
-        onto the in-flight request that just produced garbage. When the
-        underlying client caches responses, the poisoned entry is dropped
-        so the retry reaches the backend.
-        """
-        last_error: Optional[MalformedOutputError] = None
-        for attempt in range(json_retries + 1):
-            temperature = 0.0 if attempt == 0 else 0.1
-            response = self.complete(
-                prompt,
-                model=model,
-                max_output_tokens=max_output_tokens,
-                temperature=temperature,
-            )
-            try:
-                return repair_json(response.text)
-            except MalformedOutputError as exc:
-                last_error = exc
-                drop = getattr(self.scheduler.client, "_drop_cached", None)
-                if drop is not None:
-                    drop(model, prompt, max_output_tokens)
-        assert last_error is not None
-        raise last_error
+    def forget(
+        self, model: str, prompt: str, max_output_tokens: Optional[int]
+    ) -> None:
+        """Drop the scheduler client's cached response to this request."""
+        self.scheduler.client.forget(model, prompt, max_output_tokens)
 
     def complete_many(
         self,

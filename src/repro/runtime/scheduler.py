@@ -109,12 +109,12 @@ class LLMRequest:
     priority: Priority
     future: "Future[LLMResponse]"
     enqueued_at: float
+    #: Trace span opened at submission (under the submitter's context)
+    #: and finished when the future resolves.
+    span: Span
     #: Dedup key, or None when the request is not dedupable/batchable
     #: (non-zero temperature).
     key: Optional[DedupKey] = None
-    #: Trace span opened at submission (under the submitter's context)
-    #: and finished when the future resolves; None when untraced.
-    span: Optional[Span] = None
     #: Spans of dedup waiters sharing this request's future.
     waiters: List[Span] = field(default_factory=list)
     #: The submitting query's lifecycle scope, captured at admission.
@@ -224,7 +224,9 @@ class RequestScheduler:
     clock:
         Injectable monotonic clock (tests).
     tracer:
-        Optional :class:`~repro.observability.Tracer`. Request spans are
+        The :class:`~repro.observability.Tracer` recording request and
+        batch spans (default: a private one; a context that binds its
+        client to this scheduler binds its tracer too). Request spans are
         created at submit time under the submitter's ambient span; each
         dispatched batch gets its own ``batch`` span (a separate trace —
         one batch serves many queries) and member request spans link to
@@ -266,7 +268,7 @@ class RequestScheduler:
         self.starvation_limit = starvation_limit
         self.dedup = dedup
         self._clock = clock
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else Tracer()
         self.registry = registry if registry is not None else get_registry()
         reg = self.registry
         self._m_submitted = reg.counter("scheduler.submitted")
@@ -323,7 +325,6 @@ class RequestScheduler:
         """
         priority = _coerce_priority(priority)
         owner: Optional[LLMRequest] = None
-        waiter_span: Optional[Span] = None
         with self._cond:
             if self._closed:
                 raise SchedulerClosedError("scheduler is closed")
@@ -339,31 +340,26 @@ class RequestScheduler:
                 )
             self._stats.dedup_hits += 1
             self._m_dedup_hits.inc()
-            if self.tracer is not None:
-                # The waiter gets its own span (attributed to ITS
-                # query): full tokens, zero dollars, savings reported.
-                # The dispatcher finishes it before resolving the shared
-                # future, so the waiter's query is charged by the time it
-                # wakes.
-                waiter_span = self.tracer.start_span(
-                    f"llm:{model}",
-                    kind="llm_request",
-                    model=model,
-                    priority=priority.name.lower(),
-                    dedup="inflight",
-                )
-                owner.waiters.append(waiter_span)
+            # The waiter gets its own span (attributed to ITS query):
+            # full tokens, zero dollars, savings reported. The dispatcher
+            # finishes it before resolving the shared future, so the
+            # waiter's query is charged by the time it wakes.
+            waiter_span = self.tracer.start_span(
+                f"llm:{model}",
+                kind="llm_request",
+                model=model,
+                priority=priority.name.lower(),
+                dedup="inflight",
+            )
+            owner.waiters.append(waiter_span)
         # Every other way the shared future resolves (purge, close, a
         # waiter that joined after dispatch) finishes the span here.
         # Registered outside the lock: an already-resolved future runs
         # the callback inline, and the span bookkeeping must not execute
         # while holding _cond.
-        if waiter_span is not None:
-            owner.future.add_done_callback(
-                lambda f, s=waiter_span: self._finish_request_span(
-                    s, f, charge=False
-                )
-            )
+        owner.future.add_done_callback(
+            lambda f, s=waiter_span: self._finish_request_span(s, f, charge=False)
+        )
         return owner.future
 
     def _enqueue_locked(
@@ -385,14 +381,12 @@ class RequestScheduler:
                 f"({self.max_queue_depth} requests)"
             )
         future: "Future[LLMResponse]" = Future()
-        span = None
-        if self.tracer is not None:
-            span = self.tracer.start_span(
-                f"llm:{model}",
-                kind="llm_request",
-                model=model,
-                priority=priority.name.lower(),
-            )
+        span = self.tracer.start_span(
+            f"llm:{model}",
+            kind="llm_request",
+            model=model,
+            priority=priority.name.lower(),
+        )
         request = LLMRequest(
             prompt=prompt,
             model=model,
@@ -432,7 +426,6 @@ class RequestScheduler:
         tokens at zero dollars and reports the avoided spend as
         ``saved_usd`` — the conservative-accounting invariant.
         """
-        assert self.tracer is not None
         if span.finished:
             return
         result: "LLMResponse | BaseException"
@@ -542,12 +535,11 @@ class RequestScheduler:
                     self._m_cancelled.inc()
             self._cond.notify_all()
         for request in cancelled:
-            if self.tracer is not None and request.span is not None:
-                self.tracer.finish(
-                    request.span,
-                    status="error",
-                    error="SchedulerClosedError: scheduler closed before dispatch",
-                )
+            self.tracer.finish(
+                request.span,
+                status="error",
+                error="SchedulerClosedError: scheduler closed before dispatch",
+            )
             request.future.set_exception(
                 SchedulerClosedError("scheduler closed before dispatch")
             )
@@ -708,12 +700,11 @@ class RequestScheduler:
         """Resolve purged futures (outside the lock: done-callbacks run
         inline on ``set_exception``)."""
         for request, error in purged:
-            if self.tracer is not None and request.span is not None:
-                self.tracer.finish(
-                    request.span,
-                    status="error",
-                    error=f"{type(error).__name__}: {error}",
-                )
+            self.tracer.finish(
+                request.span,
+                status="error",
+                error=f"{type(error).__name__}: {error}",
+            )
             try:
                 request.future.set_exception(error)
             except BaseException:  # caller cancelled the future while queued
@@ -754,59 +745,52 @@ class RequestScheduler:
 
     def _dispatch(self, batch: List[LLMRequest]) -> None:
         started = self._clock()
-        batch_span: Optional[Span] = None
-        if self.tracer is not None:
-            head = batch[0]
-            # A batch is its own trace root: its members may belong to
-            # many different query traces, so they link to it by the
-            # ``batch_span`` attribute rather than by parentage.
-            batch_span = self.tracer.start_span(
-                f"batch:{head.model}",
-                kind="batch",
-                parent=None,
-                model=head.model,
-                size=len(batch),
-                priority=head.priority.name.lower(),
-            )
+        head = batch[0]
+        # A batch is its own trace root: its members may belong to many
+        # different query traces, so they link to it by the
+        # ``batch_span`` attribute rather than by parentage.
+        batch_span = self.tracer.start_span(
+            f"batch:{head.model}",
+            kind="batch",
+            parent=None,
+            model=head.model,
+            size=len(batch),
+            priority=head.priority.name.lower(),
+        )
         try:
             client = self.client
             if client is None:
                 results: List[Any] = [
                     SchedulerError("scheduler has no client bound")
                 ] * len(batch)
-            elif batch_span is not None:
+            else:
                 with self.tracer.attach(batch_span):
                     results = self._call_client(client, batch)
-            else:
-                results = self._call_client(client, batch)
         except BaseException as exc:  # noqa: BLE001 - whole-batch failure
             results = [exc] * len(batch)
         finished = self._clock()
-        if self.tracer is not None and batch_span is not None:
-            failures = sum(1 for r in results if isinstance(r, BaseException))
-            batch_span.set_attributes(failed=failures)
-            self.tracer.finish(
-                batch_span,
-                status="error" if failures == len(batch) else "ok",
+        failures = sum(1 for r in results if isinstance(r, BaseException))
+        batch_span.set_attributes(failed=failures)
+        self.tracer.finish(
+            batch_span,
+            status="error" if failures == len(batch) else "ok",
+        )
+        seen_in_batch: set = set()
+        for request, result in zip(batch, results):
+            identity = (request.model, request.prompt, request.max_output_tokens)
+            duplicate = identity in seen_in_batch
+            seen_in_batch.add(identity)
+            self._finish_request_span(
+                request.span,
+                result,
+                charge=not duplicate,
+                batch_span_id=batch_span.span_id,
+                dedup="batch" if duplicate else None,
             )
-            seen_in_batch: set = set()
-            for request, result in zip(batch, results):
-                if request.span is None:
-                    continue
-                identity = (request.model, request.prompt, request.max_output_tokens)
-                duplicate = identity in seen_in_batch
-                seen_in_batch.add(identity)
-                self._finish_request_span(
-                    request.span,
-                    result,
-                    charge=not duplicate,
-                    batch_span_id=batch_span.span_id,
-                    dedup="batch" if duplicate else None,
-                )
-                with self._cond:
-                    waiters = list(request.waiters)
-                for waiter in waiters:
-                    self._finish_request_span(waiter, result, charge=False)
+            with self._cond:
+                waiters = list(request.waiters)
+            for waiter in waiters:
+                self._finish_request_span(waiter, result, charge=False)
         with self._cond:
             self._stats.batches_dispatched += 1
             self._m_batches.inc()
@@ -859,31 +843,12 @@ class RequestScheduler:
                 ]
             except Exception as exc:  # noqa: BLE001
                 return [exc]
-        complete_many = getattr(client, "complete_many", None)
-        if complete_many is not None:
-            try:
-                return complete_many(
-                    [request.prompt for request in batch],
-                    model=head.model,
-                    max_output_tokens=head.max_output_tokens,
-                    return_exceptions=True,
-                )
-            except TypeError:
-                pass  # client predates return_exceptions; fall through
-        results: List[Any] = []
-        for request in batch:
-            try:
-                results.append(
-                    client.complete(
-                        request.prompt,
-                        model=request.model,
-                        max_output_tokens=request.max_output_tokens,
-                        temperature=request.temperature,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - isolate per request
-                results.append(exc)
-        return results
+        return client.complete_many(
+            [request.prompt for request in batch],
+            model=head.model,
+            max_output_tokens=head.max_output_tokens,
+            return_exceptions=True,
+        )
 
     def _dispatch_postmortem(
         self, task: "Future[None]", batch: List[LLMRequest]
@@ -910,12 +875,11 @@ class RequestScheduler:
         for request in batch:
             if request.future.done():
                 continue
-            if self.tracer is not None and request.span is not None:
-                self.tracer.finish(
-                    request.span,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            self.tracer.finish(
+                request.span,
+                status="error",
+                error=f"{type(exc).__name__}: {exc}",
+            )
             request.future.set_exception(
                 SchedulerError(f"dispatch task crashed: {exc!r}")
             )
@@ -928,10 +892,9 @@ class RequestScheduler:
                 self._stats.cancelled += 1
                 self._m_cancelled.inc()
         for request in batch:
-            if self.tracer is not None and request.span is not None:
-                self.tracer.finish(
-                    request.span,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            self.tracer.finish(
+                request.span,
+                status="error",
+                error=f"{type(exc).__name__}: {exc}",
+            )
             request.future.set_exception(exc)

@@ -336,7 +336,7 @@ class QueryService:
     ):
         self.context = context
         self.config = config or ServiceConfig()
-        self.tracer: Optional[Tracer] = getattr(context, "tracer", None)
+        self.tracer: Tracer = context.tracer
         self.registry = registry if registry is not None else context.registry
         self.plan_cache = SingleFlightCache(self.config.plan_cache_size)
         self.result_cache = SingleFlightCache(self.config.result_cache_size)
@@ -674,33 +674,24 @@ class QueryService:
             self._fail_deadline(ticket, exc)
             return
         tracer = self.tracer
-        serve_span: Optional[Span] = None
-        if tracer is not None:
-            serve_span = tracer.start_span(
-                "serve:query",
-                kind="serve",
-                parent=None,
-                tenant=ticket.tenant,
-                session=ticket.session_id or "",
-                question=ticket.question,
-                index=ticket.index,
-                query_id=ticket.query_id,
-                request_id=ticket.request_id,
-            )
+        serve_span = tracer.start_span(
+            "serve:query",
+            kind="serve",
+            parent=None,
+            tenant=ticket.tenant,
+            session=ticket.session_id or "",
+            question=ticket.question,
+            index=ticket.index,
+            query_id=ticket.query_id,
+            request_id=ticket.request_id,
+        )
         try:
-            with attach_scope(scope):
-                if tracer is not None and serve_span is not None:
-                    with tracer.attach(serve_span):
-                        served = self._serve(ticket, serve_span, started)
-                else:
-                    served = self._serve(ticket, None, started)
+            with attach_scope(scope), tracer.attach(serve_span):
+                served = self._serve(ticket, started)
         except BaseException as exc:  # noqa: BLE001 - fail the ticket, not the worker
-            if tracer is not None and serve_span is not None:
-                tracer.finish(
-                    serve_span,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            tracer.finish(
+                serve_span, status="error", error=f"{type(exc).__name__}: {exc}"
+            )
             if isinstance(exc, QueryCancelled):
                 self._m_cancelled.inc()
                 ticket._emit("cancelled", reason=scope.cancel_reason)
@@ -725,15 +716,14 @@ class QueryService:
                 "deadline_degraded",
                 budget_s=scope.deadline.budget_s if scope.deadline else 0.0,
             )
-        if tracer is not None and serve_span is not None:
-            serve_span.set_attributes(
-                plan_cache=served.plan_cache,
-                result_cache=served.result_cache,
-                cost_usd=served.cost_usd,
-                saved_usd=served.saved_usd,
-            )
-            tracer.finish(serve_span)
-            served.serve_trace_id = serve_span.trace_id
+        serve_span.set_attributes(
+            plan_cache=served.plan_cache,
+            result_cache=served.result_cache,
+            cost_usd=served.cost_usd,
+            saved_usd=served.saved_usd,
+        )
+        tracer.finish(serve_span)
+        served.serve_trace_id = serve_span.trace_id
         with self._accounts_lock:
             self.tenant(ticket.tenant).completed += 1
         self._m_completed.inc()
@@ -781,9 +771,7 @@ class QueryService:
 
     # ------------------------------------------------------------------
 
-    def _serve(
-        self, ticket: QueryTicket, serve_span: Optional[Span], started: float
-    ) -> ServedResult:
+    def _serve(self, ticket: QueryTicket, started: float) -> ServedResult:
         luna = self._luna()
         catalog = self.context.catalog
         index_obj = catalog.get(ticket.index)
@@ -916,10 +904,7 @@ class QueryService:
         """Run ``plan_fn`` under a ``plan:serve`` span; returns the plan
         and what planning cost."""
         self._m_plans_computed.inc()
-        tracer = self.tracer
-        if tracer is None:
-            return plan_fn(), 0.0
-        with tracer.span(
+        with self.tracer.span(
             "plan:serve",
             kind="plan",
             parent=parent,
@@ -943,13 +928,6 @@ class QueryService:
     ) -> None:
         """Book an executed query's cost account to its tenant."""
         account = result.trace.cost
-        if account is None:
-            # Untraced context: synthesize a one-row account from the
-            # execution trace's aggregate numbers.
-            account = CostAccount()
-            record = account.operator("(query)")
-            record.cost_usd = result.trace.total_cost_usd()
-            record.llm_calls = result.trace.total_llm_calls()
         charges["cost"] += account.cost_usd
         with self._accounts_lock:
             self.tenant(tenant).account.merge(account)
@@ -959,8 +937,7 @@ class QueryService:
     ) -> None:
         """Book a result-cache hit as dollars saved, not spent."""
         ticket._emit("result_cache_hit")
-        cost = result.trace.cost
-        saved = cost.cost_usd if cost is not None else result.trace.total_cost_usd()
+        saved = result.trace.cost.cost_usd
         if saved > 0:
             charges["saved"] += saved
             self._m_saved_usd.inc(saved)

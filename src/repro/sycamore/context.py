@@ -46,12 +46,13 @@ class SycamoreContext:
     a client is bound to this context's reliability-wrapped LLM, so the
     dispatch path keeps retries, the circuit breaker and the cache.
 
-    Each context owns a :class:`~repro.observability.Tracer` (``tracer``
-    injects one) so query traces from concurrent contexts stay separate;
-    metrics go to the shared process :class:`MetricsRegistry` unless
-    ``registry`` overrides it. The tracer is threaded into the LLM
-    reliability layer, the scheduler (when the context binds it) and
-    every executor the context creates.
+    Each context has a :class:`~repro.observability.Tracer` so query
+    traces from concurrent contexts stay separate: ``tracer`` injects
+    one, else a context handed a :class:`ReliableLLM` adopts that LLM's
+    tracer, else it makes its own. Metrics go to the shared process
+    :class:`MetricsRegistry` unless ``registry`` overrides it. The
+    tracer is threaded into the LLM reliability layer it wraps, the
+    scheduler whose client it binds and every executor it creates.
     """
 
     def __init__(
@@ -69,25 +70,19 @@ class SycamoreContext:
         registry: Optional[MetricsRegistry] = None,
     ):
         self.cost_tracker = CostTracker()
-        self.tracer = tracer if tracer is not None else Tracer()
         self.registry = registry if registry is not None else get_registry()
+        if tracer is None:
+            tracer = llm.tracer if isinstance(llm, ReliableLLM) else Tracer()
+        self.tracer = tracer
         if llm is None:
-            llm = ReliableLLM(
-                SimulatedLLM(seed=seed, tracker=self.cost_tracker),
-                tracer=self.tracer,
-                registry=self.registry,
-            )
-        elif not isinstance(llm, ReliableLLM):
-            llm = ReliableLLM(llm, tracer=self.tracer, registry=self.registry)
-        else:
-            if llm.tracer is None:
-                llm.tracer = self.tracer
+            llm = SimulatedLLM(seed=seed, tracker=self.cost_tracker)
+        if not isinstance(llm, ReliableLLM):
+            llm = ReliableLLM(llm, tracer=tracer, registry=self.registry)
         self.llm: ReliableLLM = llm
         self.scheduler = scheduler
         if scheduler is not None and scheduler.client is None:
             scheduler.client = self.llm
-            if scheduler.tracer is None:
-                scheduler.tracer = self.tracer
+            scheduler.tracer = self.tracer
         self._scheduled_clients: dict = {}
         self.embedder: Embedder = embedder or HashingEmbedder(seed=seed)
         self.catalog = catalog or IndexCatalog(embedder=self.embedder)
@@ -153,7 +148,6 @@ class SycamoreContext:
             max_task_retries=self.max_task_retries,
             lineage=self.lineage,
             on_error=on_error or self.on_error,
-            scheduler=self.scheduler,
             tracer=self.tracer,
             registry=self.registry,
         )

@@ -8,9 +8,9 @@ import pytest
 from repro.llm import (
     LLMResponse,
     MalformedOutputError,
-    RateLimiter,
     ReliableLLM,
     SimulatedLLM,
+    TokenBucket,
     TransientLLMError,
     Usage,
     repair_json,
@@ -183,10 +183,12 @@ class TestCompleteJson:
 
 class TestRateLimiter:
     def test_disabled_limiter_never_sleeps(self):
+        # No rate_limiter means no throttling: no bucket, no sleeps.
         sleeps = []
-        limiter = RateLimiter(None, sleeper=sleeps.append)
-        for _ in range(100):
-            limiter.acquire()
+        llm = ReliableLLM(SimulatedLLM(seed=0), cache_enabled=False, sleeper=sleeps.append)
+        assert llm.rate_limiter is None
+        for i in range(20):
+            llm.complete(f"<<TASK:echo>>\n<<SECTION:text>>\np{i}", model="sim-small")
         assert sleeps == []
 
     def test_limits_burst(self):
@@ -197,7 +199,7 @@ class TestRateLimiter:
             sleeps.append(s)
             clock["t"] += s
 
-        limiter = RateLimiter(2.0, clock=lambda: clock["t"], sleeper=sleeper)
+        limiter = TokenBucket(2.0, clock=lambda: clock["t"], sleeper=sleeper)
         for _ in range(4):
             limiter.acquire()
         # 2 rps with a burst of 2: two immediate, then throttled.
@@ -212,7 +214,7 @@ class TestRateLimiter:
             lock_states.append(limiter._lock.locked())
             clock["t"] += s
 
-        limiter = RateLimiter(1.0, clock=lambda: clock["t"], sleeper=sleeper)
+        limiter = TokenBucket(1.0, clock=lambda: clock["t"], sleeper=sleeper)
         for _ in range(3):
             limiter.acquire()
         assert len(lock_states) == 2  # first acquire rides the burst
@@ -235,7 +237,7 @@ class TestRateLimiter:
                 first_sleeping.set()
                 assert release_first.wait(timeout=5.0)
 
-        limiter = RateLimiter(1.0, clock=lambda: clock["t"], sleeper=sleeper)
+        limiter = TokenBucket(1.0, clock=lambda: clock["t"], sleeper=sleeper)
         limiter.acquire()  # burn the burst slot; no sleep
 
         t1 = threading.Thread(target=limiter.acquire)
@@ -268,7 +270,7 @@ class TestRateLimiter:
             with clock_lock:
                 sleeps.append(s)
 
-        limiter = RateLimiter(2.0, clock=lambda: clock["t"], sleeper=sleeper)
+        limiter = TokenBucket(2.0, clock=lambda: clock["t"], sleeper=sleeper)
         threads = [threading.Thread(target=limiter.acquire) for _ in range(8)]
         for t in threads:
             t.start()

@@ -57,6 +57,19 @@ class TestTracer:
         assert first.trace_id == "t0001"
         assert second.trace_id == "t0002"
 
+    def test_child_is_recorded_by_its_parents_tracer(self):
+        # Span ids are unique only within one tracer, so a trace must not
+        # be split across two: a component with a private tracer files
+        # its spans under the caller's trace.
+        caller, component = Tracer(), Tracer()
+        component.start_span("warm-up", parent=None)
+        with caller.span("query", kind="query") as root:
+            with component.span("llm", kind="llm_request") as child:
+                pass
+        assert child.parent is root and child.parent_id == root.span_id
+        assert caller.trace_spans(root.trace_id) == [root, child]
+        assert [span.name for span in component.spans()] == ["warm-up"]
+
     def test_parent_none_forces_new_trace(self):
         tracer = Tracer()
         with tracer.span("outer") as outer:
@@ -576,12 +589,32 @@ class TestExecutorTracing:
         assert serial_totals == parallel_totals
 
     def test_untraced_executor_still_works(self):
+        # An executor built without ``tracer=`` traces into its own and
+        # still books the LLM spend of its plan.
         plan = Plan.source(lambda: iter(range(3)), name="src").map(
             lambda x: x + 1, name="inc"
         )
         executor = Executor(parallelism=2, registry=MetricsRegistry())
         assert executor.take_all(plan) == [1, 2, 3]
-        assert executor.last_stats.cost is None
+        assert executor.last_stats.cost.llm_calls == 0
+
+        tracker = CostTracker()
+        llm = ReliableLLM(
+            SimulatedLLM(seed=0, tracker=tracker),
+            cache_enabled=False,
+            registry=MetricsRegistry(),
+        )
+        plan = Plan.source(lambda: iter(range(4)), name="src").map(
+            lambda x: llm.complete(
+                f"<<TASK:echo>>\n<<SECTION:text>>\nrecord {x}"
+            ).text,
+            name="ask",
+        )
+        assert len(executor.take_all(plan)) == 4
+        cost = executor.last_stats.cost
+        assert cost.llm_calls == tracker.summary().calls == 4
+        assert cost.cost_usd > 0
+        assert cost.cost_usd == pytest.approx(tracker.summary().cost_usd)
 
 
 # ----------------------------------------------------------------------
@@ -731,6 +764,61 @@ class TestRunningCostAccount:
             assert len(tracer.spans()) <= 16
         finally:
             tracer.max_spans = saved_cap
+
+    def test_prebound_scheduler_books_backend_spend(self):
+        # A scheduler handed over with its client already bound keeps its
+        # own tracer; the query is still charged every backend dollar,
+        # because request spans parent to the submitting operator.
+        from repro.datagen import generate_ntsb_corpus
+        from repro.luna.luna import Luna
+        from repro.partitioner.partitioner import ArynPartitioner
+        from repro.sycamore.context import SycamoreContext
+
+        tracker = CostTracker()
+        llm = ReliableLLM(
+            SimulatedLLM(seed=0, tracker=tracker), registry=MetricsRegistry()
+        )
+        scheduler = RequestScheduler(client=llm, registry=MetricsRegistry())
+        ctx = SycamoreContext(
+            llm=llm, scheduler=scheduler, parallelism=2, registry=MetricsRegistry()
+        )
+        try:
+            _, raws = generate_ntsb_corpus(8, seed=3)
+            (
+                ctx.read.raw(raws)
+                .partition(ArynPartitioner(seed=0))
+                .extract_properties(
+                    {"state": "string", "weather_related": "bool"},
+                    model="sim-oracle",
+                )
+                .write.index("ntsb")
+            )
+            before = tracker.summary()
+            result = Luna(ctx).query(
+                "How many incidents were caused by icing?", index="ntsb"
+            )
+            after = tracker.summary()
+        finally:
+            scheduler.close()
+            ctx.close()
+        assert after.calls - before.calls > 1
+        assert result.trace.cost.llm_calls == after.calls - before.calls
+        assert result.trace.cost.cost_usd == pytest.approx(
+            after.cost_usd - before.cost_usd
+        )
+        # The scheduler's request spans are retained in the query's trace.
+        replay = CostAccount.from_spans(ctx.tracer.trace_spans(result.trace.trace_id))
+        assert replay.llm_calls == result.trace.total_llm_calls() > 0
+        assert replay.cost_usd == pytest.approx(result.trace.total_cost_usd())
+
+    def test_context_adopts_its_llms_tracer(self):
+        from repro.sycamore.context import SycamoreContext
+
+        llm = ReliableLLM(SimulatedLLM(seed=0), registry=MetricsRegistry())
+        ctx = SycamoreContext(llm=llm, registry=MetricsRegistry())
+        assert ctx.llm is llm
+        assert ctx.llm.tracer is ctx.tracer
+        assert ctx.executor().tracer is ctx.tracer
 
     def test_other_threads_spend_is_not_charged_to_a_node(
         self, suite_context, monkeypatch

@@ -471,26 +471,6 @@ class TestContextIntegration:
         finally:
             sched.close()
 
-    def test_executor_stats_carry_scheduler_delta(self, ntsb_corpus):
-        from repro.partitioner import ArynPartitioner
-        from repro.sycamore import SycamoreContext
-
-        _, raws = ntsb_corpus
-        sched = RequestScheduler(max_batch_size=4, max_wait_ms=1.0)
-        try:
-            ctx = SycamoreContext(parallelism=2, seed=0, scheduler=sched)
-            (
-                ctx.read.raw(raws[:4])
-                .partition(ArynPartitioner(seed=0))
-                .extract_properties({"state": "string"}, model="sim-oracle")
-                .write.index("ntsb")
-            )
-            stats = ctx.last_stats
-            assert stats is not None and stats.scheduler is not None
-            assert stats.scheduler["completed"] >= 4
-        finally:
-            sched.close()
-
     def test_luna_query_uses_interactive_priority(self, ntsb_corpus):
         from repro import Luna
         from repro.partitioner import ArynPartitioner
