@@ -13,15 +13,12 @@ import pytest
 
 from conftest import print_table
 from repro.evaluation import Grade, grade_exact_count, grade_numeric
-from repro.luna import (
+from repro.luna import LogicalPlan, Luna, LunaExecutor
+from repro.optimizer import (
     BALANCED_POLICY,
-    COST_POLICY,
-    LogicalPlan,
-    Luna,
-    LunaExecutor,
-    LunaOptimizer,
-    OptimizerPolicy,
     QUALITY_POLICY,
+    CostBasedOptimizer,
+    OptimizerPolicy,
 )
 
 QUESTIONS = [
@@ -120,7 +117,7 @@ def test_bench_pushdown_ablation(benchmark, bench_context):
 
     def llm_calls_for(policy):
         bench_context.llm.clear_cache()
-        plan, _ = LunaOptimizer(policy).optimize(
+        plan, _, _ = CostBasedOptimizer(policy).optimize_with_report(
             LogicalPlan.from_json(FILTER_PLAN),
             bench_context.catalog.get("ntsb").schema,
         )
@@ -163,7 +160,7 @@ def test_bench_string_substitution_ablation(benchmark, bench_context):
     schema = bench_context.catalog.get("ntsb").schema
 
     bench_context.llm.clear_cache()
-    plan, log = LunaOptimizer(BALANCED_POLICY).optimize(
+    plan, _, _ = CostBasedOptimizer(BALANCED_POLICY).optimize_with_report(
         LogicalPlan.from_json(SUBSTITUTION_PLAN), schema
     )
     before = bench_context.cost_tracker.summary().calls
@@ -180,7 +177,7 @@ def test_bench_string_substitution_ablation(benchmark, bench_context):
         enable_string_substitution=False,
     )
     bench_context.llm.clear_cache()
-    plan2, _ = LunaOptimizer(no_sub_policy).optimize(
+    plan2, _, _ = CostBasedOptimizer(no_sub_policy).optimize_with_report(
         LogicalPlan.from_json(SUBSTITUTION_PLAN), schema
     )
     before = bench_context.cost_tracker.summary().calls

@@ -51,7 +51,7 @@ from ..observability.metrics import MetricsRegistry, get_registry
 from ..observability.tracing import Span, Tracer
 from ..serving.service import Overloaded
 from ..serving.session import Tenant, TenantQuota
-from .envelope import ShardOp, ShardPlanSpec, ShardResult, TaskEnvelope, WorkerConfig
+from .envelope import ShardPlanSpec, ShardResult, TaskEnvelope, WorkerConfig
 from .sharding import (
     Shard,
     derive_fault_seed,
@@ -271,25 +271,6 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-
-    def run_op(
-        self,
-        documents: Sequence[Document],
-        operation: str,
-        query_id: str = "",
-        scope: Optional[CancelScope] = None,
-        partial: str = "raise",
-        default_model: Optional[str] = None,
-        **params: Any,
-    ) -> ClusterRunResult:
-        """Run one shardable operator as a single-op segment."""
-        spec = ShardPlanSpec.from_ops(
-            [ShardOp.make(operation, **params)],
-            default_model=default_model or self.config.default_model,
-        )
-        return self.run_segment(
-            documents, spec, query_id=query_id, scope=scope, partial=partial
-        )
 
     def run_segment(
         self,

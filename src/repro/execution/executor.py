@@ -93,10 +93,6 @@ class ExecutionStats:
         """Per-node stats record (created on first access)."""
         return self.nodes.setdefault(name, NodeStats())
 
-    def total_records_out(self, name: str) -> int:
-        """Records emitted by the named node."""
-        return self.nodes.get(name, NodeStats()).records_out
-
     def total_dead_lettered(self) -> int:
         """Records captured in the dead-letter queue this run."""
         return len(self.dead_letters)

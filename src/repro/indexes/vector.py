@@ -66,11 +66,6 @@ class VectorIndex:
             self._matrix = np.vstack([self._matrix, array[None, :]])
         self._ivf = None  # clustering is stale
 
-    def add_many(self, items: Dict[str, Sequence[float]]) -> None:
-        """Add several entries."""
-        for doc_id, vector in items.items():
-            self.add(doc_id, vector)
-
     def remove(self, doc_id: str) -> bool:
         """Remove by id; returns False when absent."""
         row = self._id_to_row.pop(doc_id, None)

@@ -144,13 +144,6 @@ class QueryJournal:
             raise ValueError(f"invalid query_id {query_id!r}")
         return self.root / f"{query_id}.journal.jsonl"
 
-    def query_ids(self) -> List[str]:
-        """Every query with a journal file, sorted."""
-        return sorted(
-            p.name[: -len(".journal.jsonl")]
-            for p in self.root.glob("*.journal.jsonl")
-        )
-
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------

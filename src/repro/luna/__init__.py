@@ -11,6 +11,10 @@ Typical use::
     )
     print(result.answer)
     print(result.explain())
+
+The plan optimizer and its policies live in :mod:`repro.optimizer`
+(:class:`~repro.optimizer.CostBasedOptimizer`,
+:class:`~repro.optimizer.OptimizerPolicy`, ``POLICIES``).
 """
 
 from .codegen import generate_code
@@ -31,25 +35,14 @@ from .operators import (
     PlanNode,
     PlanValidationError,
 )
-from .optimizer import (
-    BALANCED_POLICY,
-    COST_POLICY,
-    LunaOptimizer,
-    OptimizerPolicy,
-    POLICIES,
-    QUALITY_POLICY,
-)
 from .planner import LunaPlanner, OPERATOR_DOCS
 
 __all__ = [
-    "BALANCED_POLICY",
-    "COST_POLICY",
     "ExecutionTrace",
     "LUNA_ERROR_POLICIES",
     "LogicalPlan",
     "Luna",
     "LunaExecutor",
-    "LunaOptimizer",
     "LunaPlanner",
     "LunaResult",
     "HistoryEntry",
@@ -58,12 +51,9 @@ __all__ = [
     "MathEvaluationError",
     "OPERATOR_DOCS",
     "OPERATOR_SPECS",
-    "OptimizerPolicy",
-    "POLICIES",
     "PlanExecutionError",
     "PlanNode",
     "PlanValidationError",
-    "QUALITY_POLICY",
     "TraceEntry",
     "diff_plans",
     "evaluate",

@@ -19,11 +19,11 @@ from typing import Any, Dict, List, Optional
 from ..analysis.plancheck import ensure_valid_plan
 from ..lifecycle.journal import JournalError, QueryJournal, plan_json_fingerprint
 from ..observability.cost import CostAccount, open_account
+from ..optimizer import BALANCED_POLICY, CostBasedOptimizer, OptimizerPolicy, StatsStore
 from ..sycamore.context import SycamoreContext
 from .codegen import generate_code
 from .executor import ExecutionTrace, LunaExecutor
 from .operators import LogicalPlan, PlanNode
-from .optimizer import BALANCED_POLICY, LunaOptimizer, OptimizerPolicy, POLICIES
 from .history import QueryHistory
 from .planner import LunaPlanner
 
@@ -86,8 +86,10 @@ class LunaResult:
 class Luna:
     """LLM-powered unstructured analytics over a Sycamore context.
 
-    ``policy`` selects the optimizer's cost/quality point ("quality",
-    "balanced", or "cost" — or a custom :class:`OptimizerPolicy`).
+    ``policy`` selects the optimizer's cost/quality point (a name in
+    :data:`~repro.optimizer.POLICIES` or a custom
+    :class:`~repro.optimizer.OptimizerPolicy`); an unknown name raises
+    ``ValueError``.
 
     ``error_policy`` selects failure containment at query time: ``fail``
     aborts on any operator failure; ``skip`` / ``dead_letter`` contain
@@ -102,8 +104,8 @@ class Luna:
         policy: "OptimizerPolicy | str" = BALANCED_POLICY,
         error_policy: str = "fail",
         journal: Optional[QueryJournal] = None,
-        stats_store: Optional[Any] = None,
-        optimizer: Optional[Any] = None,
+        stats_store: Optional[StatsStore] = None,
+        optimizer: Optional[CostBasedOptimizer] = None,
     ):
         self.context = context
         # Optional write-ahead journal: queries submitted with a
@@ -116,13 +118,6 @@ class Luna:
         self.planner = LunaPlanner(
             context.llm_for("interactive"), model=planner_model
         )
-        if isinstance(policy, str):
-            try:
-                policy = POLICIES[policy]
-            except KeyError:
-                raise ValueError(
-                    f"unknown policy {policy!r}; known: {sorted(POLICIES)}"
-                ) from None
         # Optional adaptive-statistics loop (repro.optimizer): a live
         # StatsStore both informs the cost-based rewrites and accumulates
         # each execution's observed selectivity/$-per-row figures. The
@@ -130,13 +125,7 @@ class Luna:
         # *frozen* snapshot (cache-key stability) and keeps ``stats_store``
         # live so observations still land.
         self.stats_store = stats_store
-        if optimizer is not None:
-            self.optimizer = optimizer
-        else:
-            # Local import: repro.optimizer imports from this package.
-            from ..optimizer import CostBasedOptimizer
-
-            self.optimizer = CostBasedOptimizer(policy, stats=stats_store)
+        self.optimizer = optimizer or CostBasedOptimizer(policy, stats=stats_store)
         self.executor = LunaExecutor(context, error_policy=error_policy)
         self.history = QueryHistory()
 
@@ -255,7 +244,11 @@ class Luna:
         ) as query_span:
             cost = open_account(query_span)
             with tracer.span("plan:optimize", kind="plan"):
-                optimized, log, report = self._optimize(plan, named_index)
+                optimized, log, report = self.optimizer.optimize_with_report(
+                    plan,
+                    schema=named_index.schema,
+                    source_rows=float(len(named_index)),
+                )
                 code = generate_code(optimized)
             writer = self._journal_begin(query_id, question, index, optimized)
             answer, trace = self.executor.execute(
@@ -263,10 +256,9 @@ class Luna:
             )
         trace.trace_id = query_span.trace_id
         trace.cost = cost
-        if report is not None:
-            report.record_actuals(trace)
-            trace.optimizer_report = report
-        if self.stats_store is not None and hasattr(self.stats_store, "observe"):
+        report.record_actuals(trace)
+        trace.optimizer_report = report
+        if self.stats_store is not None:
             # Close the adaptive loop: fold this execution's observed
             # selectivity/$-per-row back into the live store.
             self.stats_store.observe(optimized, trace)
@@ -285,22 +277,6 @@ class Luna:
         )
         self.history.record(result)
         return result
-
-    def _optimize(self, plan: LogicalPlan, named_index) -> "tuple":
-        """Run the configured optimizer; returns (plan, log, report|None).
-
-        A :class:`~repro.optimizer.CostBasedOptimizer` also produces the
-        :class:`~repro.optimizer.OptimizerReport` attached to the trace;
-        a plain :class:`LunaOptimizer` yields no report.
-        """
-        if hasattr(self.optimizer, "optimize_with_report"):
-            return self.optimizer.optimize_with_report(
-                plan,
-                schema=named_index.schema,
-                source_rows=float(len(named_index)),
-            )
-        optimized, log = self.optimizer.optimize(plan, schema=named_index.schema)
-        return optimized, log, None
 
     # ------------------------------------------------------------------
     # Crash recovery

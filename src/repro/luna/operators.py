@@ -186,49 +186,6 @@ class LogicalPlan:
             if node.operation in ("LlmFilter", "LlmExtract", "Summarize")
         ]
 
-    def shardable_segments(self, require_llm: bool = True) -> List[List[int]]:
-        """Maximal runs of consecutive per-record operators.
-
-        A segment is a list of node indexes ``[a, a+1, ..., b]`` where
-        every operation is in :data:`SHARDABLE_OPERATIONS`, each node
-        consumes exactly the previous one, and no interior node has an
-        external consumer — i.e. a linear per-record chain the cluster
-        layer can scatter as one fused sub-plan. ``require_llm`` drops
-        segments with no LLM operator (sharding a lone BasicFilter costs
-        more in scatter overhead than it saves).
-        """
-        segments: List[List[int]] = []
-        current: List[int] = []
-        for index, node in enumerate(self.nodes):
-            extends = (
-                node.operation in SHARDABLE_OPERATIONS
-                and len(node.inputs) == 1
-                and bool(current)
-                and node.inputs[0] == current[-1]
-                and self.consumers_of(current[-1]) == [index]
-            )
-            if extends:
-                current.append(index)
-                continue
-            if current:
-                segments.append(current)
-            if node.operation in SHARDABLE_OPERATIONS and len(node.inputs) == 1:
-                current = [index]
-            else:
-                current = []
-        if current:
-            segments.append(current)
-        if require_llm:
-            segments = [
-                segment
-                for segment in segments
-                if any(
-                    self.nodes[i].operation in ("LlmFilter", "LlmExtract")
-                    for i in segment
-                )
-            ]
-        return segments
-
     def to_natural_language(self) -> str:
         """The plan narrated step by step (§6.1: plans as natural text)."""
         lines = []

@@ -1,13 +1,17 @@
-"""Cost-based adaptive query optimization (DESIGN.md §14).
+"""Luna's plan optimizer (paper §6.1; DESIGN.md §14).
 
 The paper's plan optimizer "makes trade-offs based on cost vs efficiency"
-(§6.1); this package makes those trade-offs *adaptive*: a persistent
-:class:`StatsStore` learns per-operator selectivity, $/row and latency
-from past execution traces, a :class:`CostModel` turns those figures into
-plan estimates, and a :class:`CostBasedOptimizer` rewrites logical plans
-— selectivity-ordered predicates, index-side scan filters, cheap-model
-draft/verify cascades — emitting an :class:`OptimizerReport` so every
-decision stays inspectable (the ``plan-explain`` CLI verb).
+(§6.1). :class:`CostBasedOptimizer` is the one optimizer: an
+:class:`OptimizerPolicy` (one of :data:`POLICIES`, or a custom one)
+selects its rule rewrites — string-match substitution, filter pushdown,
+fusion, per-operator model tier — and this package makes the trade-offs
+*adaptive*: a persistent :class:`StatsStore` learns per-operator
+selectivity, $/row and latency from past execution traces, a
+:class:`CostModel` turns those figures into plan estimates, and the
+optimizer adds selectivity-ordered predicates, index-side scan filters
+and cheap-model draft/verify cascades, emitting an
+:class:`OptimizerReport` so every decision stays inspectable (the
+``plan-explain`` CLI verb).
 """
 
 from .costmodel import (
@@ -19,7 +23,17 @@ from .costmodel import (
     PlanEstimate,
 )
 from .report import OptimizerReport
-from .rewriter import DEFAULT_SOURCE_ROWS, SCAN_FILTER_OPS, CostBasedOptimizer
+from .rewriter import (
+    BALANCED_POLICY,
+    CASCADE_POLICY,
+    COST_POLICY,
+    DEFAULT_SOURCE_ROWS,
+    POLICIES,
+    QUALITY_POLICY,
+    SCAN_FILTER_OPS,
+    CostBasedOptimizer,
+    OptimizerPolicy,
+)
 from .stats import (
     OBSERVED_OPERATIONS,
     OperatorStats,
@@ -30,9 +44,14 @@ from .stats import (
 )
 
 __all__ = [
+    "BALANCED_POLICY",
+    "CASCADE_POLICY",
+    "COST_POLICY",
     "DEFAULT_SOURCE_ROWS",
     "ESCALATION_PRIOR",
     "OBSERVED_OPERATIONS",
+    "POLICIES",
+    "QUALITY_POLICY",
     "SCAN_FILTER_OPS",
     "SELECTIVITY_PRIORS",
     "TOKEN_PROFILES",
@@ -40,6 +59,7 @@ __all__ = [
     "CostModel",
     "NodeEstimate",
     "OperatorStats",
+    "OptimizerPolicy",
     "OptimizerReport",
     "PlanEstimate",
     "StatsSnapshot",

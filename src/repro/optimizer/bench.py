@@ -5,8 +5,9 @@ first, the free structured predicate second, the worst reasonable
 authoring order — each in a **fresh** context so the LLM response cache
 cannot flatter any arm:
 
-* ``cold`` — the plan exactly as written (rule rewrites disabled),
-  quality-tier models. This is the paper's single fixed plan.
+* ``cold`` — the plan exactly as written (pushdown and substitution
+  disabled, so no rewrite fires), quality-tier models. This is the
+  paper's single fixed plan.
 * ``optimized`` — :class:`~repro.optimizer.CostBasedOptimizer` under the
   ``quality`` policy: predicate reorder + scan-filter folding, *same*
   models. Per-document verdicts are a pure function of (model, prompt),
@@ -35,14 +36,15 @@ from ..datagen import generate_earnings_corpus, generate_ntsb_corpus
 from ..llm.knowledge import condition_holds
 from ..luna import Luna
 from ..luna.operators import LogicalPlan, PlanNode
-from ..luna.optimizer import QUALITY_POLICY, LunaOptimizer
 from ..partitioner import ArynPartitioner
 from ..sycamore import SycamoreContext
+from .rewriter import QUALITY_POLICY
 
 import dataclasses
 
 #: The cold arm: quality-tier models, every rewrite disabled — the plan
-#: runs exactly as authored.
+#: runs exactly as authored (only the ``model:`` tier annotation, which
+#: every policy applies, reaches the optimization log).
 COLD_POLICY = dataclasses.replace(
     QUALITY_POLICY,
     name="cold",
@@ -190,10 +192,8 @@ def _run_arm(
         parallelism, ctx_seed,
     )
     try:
-        if arm == "cold":
-            luna = Luna(ctx, optimizer=LunaOptimizer(COLD_POLICY))
-        else:
-            luna = Luna(ctx, policy="quality" if arm == "optimized" else "cascade")
+        policy = {"cold": COLD_POLICY, "optimized": "quality", "cascade": "cascade"}[arm]
+        luna = Luna(ctx, policy=policy)
         result = luna.execute_plan(spec["question"], spec["index"], spec["plan"]())
         report = result.trace.optimizer_report
         llm_rows: Optional[int] = next(
@@ -211,7 +211,7 @@ def _run_arm(
             "llm_calls": result.trace.total_llm_calls(),
             "llm_rows": llm_rows,
             "duration_s": sum(e.duration_s for e in result.trace.entries),
-            "rewrites": list(report.rewrites) if report is not None else [],
+            "rewrites": list(report.rewrites),
         }
         if arm == "cascade":
             row["ground_truth"] = _ground_truth(

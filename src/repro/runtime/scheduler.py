@@ -151,12 +151,6 @@ class SchedulerStats:
     total_service_s: float = 0.0
     batch_size_histogram: Dict[int, int] = field(default_factory=dict)
 
-    @property
-    def upstream_requests(self) -> int:
-        """Requests actually dispatched (admitted minus still-queued,
-        minus dedup-shared waiters)."""
-        return self.completed + self.failed
-
     def avg_batch_size(self) -> float:
         """Mean dispatched batch size (0.0 before any dispatch)."""
         total = sum(size * count for size, count in self.batch_size_histogram.items())

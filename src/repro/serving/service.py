@@ -42,11 +42,13 @@ from ..lifecycle.deadline import (
     QueryCancelled,
     attach_scope,
 )
+from ..luna.executor import LUNA_ERROR_POLICIES
 from ..luna.luna import Luna, LunaResult
 from ..luna.operators import LogicalPlan
 from ..observability.cost import CostAccount, open_account
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import Span, Tracer
+from ..optimizer import POLICIES, CostBasedOptimizer, StatsStore
 from ..sycamore.context import SycamoreContext
 from .cache import (
     COALESCED,
@@ -122,6 +124,15 @@ class ServiceConfig:
             raise ValueError("default_tenant_inflight must be >= 1")
         if self.cluster_workers < 0:
             raise ValueError("cluster_workers must be >= 0")
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"unknown policy {self.policy!r}; known: {sorted(POLICIES)}"
+            )
+        if self.error_policy not in LUNA_ERROR_POLICIES:
+            raise ValueError(
+                f"unknown error_policy {self.error_policy!r}; "
+                f"known: {LUNA_ERROR_POLICIES}"
+            )
 
 
 @dataclass
@@ -378,8 +389,6 @@ class QueryService:
         # questions within an epoch optimize identically, so the epoch's
         # fingerprint can key the plan/result caches without destroying
         # hit rates. ``refresh_optimizer`` rolls the epoch.
-        from ..optimizer import StatsStore
-
         self.stats_store = StatsStore(
             path=self.config.optimizer_stats_path, registry=self.registry
         )
@@ -598,12 +607,9 @@ class QueryService:
             snapshot = self._stats_snapshot
         luna = getattr(self._luna_local, "luna", None)
         if luna is None or getattr(self._luna_local, "epoch", -1) != epoch:
-            from ..optimizer import CostBasedOptimizer
-
             luna = Luna(
                 self.context,
                 planner_model=self.config.planner_model,
-                policy=self.config.policy,
                 error_policy=self.config.error_policy,
                 stats_store=self.stats_store,
                 optimizer=CostBasedOptimizer(

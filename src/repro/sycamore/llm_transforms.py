@@ -21,8 +21,8 @@ process-wide prefix cache and append only the document section per call;
 
 from __future__ import annotations
 
+import functools
 import json
-import threading
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..docmodel.document import Document
@@ -40,54 +40,21 @@ from ..runtime import Priority
 from .context import SycamoreContext
 
 
-class _PromptPrefixCache:
-    """Memoizes the static prefix of per-document prompts.
+@functools.lru_cache(maxsize=512)
+def _render_prefix(task: str, sections: Tuple[Tuple[str, str], ...]) -> str:
+    """The rendered prompt up to (excluding) the document section.
 
     Luna builds a fresh transform factory per plan node and ETL scripts
-    rebuild pipelines per corpus; this cache makes the static prompt text
-    a one-time cost per distinct (task, static sections) pair instead of
-    a per-factory (previously per-document) one.
+    rebuild pipelines per corpus; memoizing makes the static prompt text
+    a one-time cost per distinct (task, static sections) pair.
     """
-
-    def __init__(self, max_entries: int = 512):
-        self.max_entries = max_entries
-        self._lock = threading.Lock()
-        self._entries: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], str] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def render_prefix(self, task: str, sections: Dict[str, str]) -> str:
-        """The rendered prompt up to (excluding) the document section."""
-        key = (task, tuple(sections.items()))
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        prefix = render_task_prompt(task, sections)
-        with self._lock:
-            if len(self._entries) >= self.max_entries:
-                self._entries.clear()  # tiny corpus of prefixes; full reset is fine
-            self._entries[key] = prefix
-        return prefix
-
-    def info(self) -> Dict[str, int]:
-        """Counters: hits, misses, current size."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "size": len(self._entries),
-            }
-
-
-PROMPT_PREFIX_CACHE = _PromptPrefixCache()
+    return render_task_prompt(task, dict(sections))
 
 
 def prompt_prefix_cache_info() -> Dict[str, int]:
     """Hit/miss/size counters of the shared prompt-prefix cache."""
-    return PROMPT_PREFIX_CACHE.info()
+    info = _render_prefix.cache_info()
+    return {"hits": info.hits, "misses": info.misses, "size": info.currsize}
 
 
 def _document_text(document: Document, num_elements: Optional[int]) -> str:
@@ -101,7 +68,7 @@ def _document_text(document: Document, num_elements: Optional[int]) -> str:
 def _template_prefix(template: PromptTemplate, **static: str) -> str:
     sections = {"instructions": template.instructions}
     sections.update(static)
-    return PROMPT_PREFIX_CACHE.render_prefix(template.task, sections)
+    return _render_prefix(template.task, tuple(sections.items()))
 
 
 def make_extract_properties_fn(
@@ -162,9 +129,7 @@ def make_llm_query_fn(
         static_prefix = (
             None
             if has_placeholders
-            else PROMPT_PREFIX_CACHE.render_prefix(
-                "llm_query", {"instructions": prompt}
-            )
+            else _render_prefix("llm_query", (("instructions", prompt),))
         )
 
     def query(document: Document) -> Document:

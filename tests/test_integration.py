@@ -220,7 +220,8 @@ class TestDistinctOperator:
 
 class TestProvenanceAndDiff:
     def test_trace_supporting_documents(self, indexed_context, ntsb_corpus):
-        from repro.luna import Luna, OptimizerPolicy
+        from repro.luna import Luna
+        from repro.optimizer import OptimizerPolicy
 
         records, _ = ntsb_corpus
         oracle_policy = OptimizerPolicy(
@@ -237,22 +238,21 @@ class TestProvenanceAndDiff:
         assert set(supporting) == wind_ids  # oracle filter: exact provenance
 
     def test_diff_plans_reports_optimizer_changes(self):
-        from repro.luna import (
-            BALANCED_POLICY,
-            LogicalPlan,
-            LunaOptimizer,
-            diff_plans,
-        )
+        from repro.luna import LogicalPlan, diff_plans
+        from repro.optimizer import BALANCED_POLICY, CostBasedOptimizer
 
+        # A relevance query keeps scan-filter folding from absorbing the
+        # substituted filter.
         plan = LogicalPlan.from_json(
             [
-                {"operation": "QueryIndex", "inputs": [], "index": "i"},
+                {"operation": "QueryIndex", "inputs": [], "index": "i",
+                 "query": "weather"},
                 {"operation": "LlmFilter", "inputs": [0],
                  "condition": "weather related incidents"},
                 {"operation": "Count", "inputs": [1]},
             ]
         )
-        optimized, _ = LunaOptimizer(BALANCED_POLICY).optimize(
+        optimized, _, _ = CostBasedOptimizer(BALANCED_POLICY).optimize_with_report(
             plan, {"weather_related": "bool"}
         )
         changes = diff_plans(plan, optimized)

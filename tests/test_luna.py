@@ -5,21 +5,23 @@ import pytest
 
 from repro.docmodel import Document
 from repro.luna import (
-    BALANCED_POLICY,
-    COST_POLICY,
     LogicalPlan,
     Luna,
     LunaExecutor,
-    LunaOptimizer,
     LunaPlanner,
     MathEvaluationError,
     PlanExecutionError,
     PlanNode,
     PlanValidationError,
-    QUALITY_POLICY,
     evaluate,
     generate_code,
     referenced_nodes,
+)
+from repro.optimizer import (
+    BALANCED_POLICY,
+    COST_POLICY,
+    QUALITY_POLICY,
+    CostBasedOptimizer,
 )
 from repro.sycamore import SycamoreContext
 
@@ -309,16 +311,21 @@ class TestOptimizer:
                 "ceo_changed": "bool"}
 
     def test_pushdown_moves_basic_before_llm(self):
+        # A relevance query keeps scan-filter folding from absorbing the
+        # pushed-down filter, so the pushdown itself stays observable.
         plan = plan_from(
             [
-                {"operation": "QueryIndex", "inputs": [], "index": "i"},
+                {"operation": "QueryIndex", "inputs": [], "index": "i",
+                 "query": "wind"},
                 {"operation": "LlmFilter", "inputs": [0], "condition": "windy"},
                 {"operation": "BasicFilter", "inputs": [1], "field": "year",
                  "op": "eq", "value": 2023},
                 {"operation": "Count", "inputs": [2]},
             ]
         )
-        optimized, log = LunaOptimizer(BALANCED_POLICY).optimize(plan, self._schema())
+        optimized, log, _ = CostBasedOptimizer(BALANCED_POLICY).optimize_with_report(
+            plan, self._schema()
+        )
         assert optimized.nodes[1].operation == "BasicFilter"
         assert optimized.nodes[2].operation == "LlmFilter"
         # The chain wiring must be preserved: each stage reads the previous.
@@ -338,7 +345,7 @@ class TestOptimizer:
             {"operation": "Count", "inputs": [2]},
         ]
         raw_answer, _ = LunaExecutor(small_ctx).execute(plan_from(nodes))
-        optimized, _ = LunaOptimizer(QUALITY_POLICY).optimize(
+        optimized, _, _ = CostBasedOptimizer(QUALITY_POLICY).optimize_with_report(
             plan_from(nodes), {"year": "int"}
         )
         # quality policy re-models the filter; force oracle for equality
@@ -349,15 +356,20 @@ class TestOptimizer:
         assert raw_answer == opt_answer == 1
 
     def test_string_match_substitution(self):
+        # A relevance query keeps scan-filter folding from absorbing the
+        # substituted filter.
         plan = plan_from(
             [
-                {"operation": "QueryIndex", "inputs": [], "index": "i"},
+                {"operation": "QueryIndex", "inputs": [], "index": "i",
+                 "query": "weather"},
                 {"operation": "LlmFilter", "inputs": [0],
                  "condition": "weather related incidents"},
                 {"operation": "Count", "inputs": [1]},
             ]
         )
-        optimized, log = LunaOptimizer(BALANCED_POLICY).optimize(plan, self._schema())
+        optimized, log, _ = CostBasedOptimizer(BALANCED_POLICY).optimize_with_report(
+            plan, self._schema()
+        )
         assert optimized.nodes[1].operation == "BasicFilter"
         assert optimized.nodes[1].params == {"field": "weather_related", "op": "eq", "value": True}
         assert any("string-match" in line for line in log)
@@ -369,7 +381,9 @@ class TestOptimizer:
                 {"operation": "LlmFilter", "inputs": [0], "condition": "caused by wind"},
             ]
         )
-        optimized, _ = LunaOptimizer(BALANCED_POLICY).optimize(plan, self._schema())
+        optimized, _, _ = CostBasedOptimizer(BALANCED_POLICY).optimize_with_report(
+            plan, self._schema()
+        )
         assert optimized.nodes[1].operation == "LlmFilter"
 
     def test_fusion_merges_adjacent_llm_filters(self):
@@ -381,7 +395,7 @@ class TestOptimizer:
                 {"operation": "Count", "inputs": [2]},
             ]
         )
-        optimized, log = LunaOptimizer(COST_POLICY).optimize(plan, {})
+        optimized, log, _ = CostBasedOptimizer(COST_POLICY).optimize_with_report(plan, {})
         assert optimized.nodes[1].params["condition"] == "about wind and during landing"
         assert optimized.nodes[2].operation == "Identity"
         assert any("fusion" in line for line in log)
@@ -398,18 +412,18 @@ class TestOptimizer:
                 {"operation": "Count", "inputs": [2]},
             ]
         )
-        optimized, _ = LunaOptimizer(COST_POLICY).optimize(plan, {})
+        optimized, _, _ = CostBasedOptimizer(COST_POLICY).optimize_with_report(plan, {})
         assert optimized.nodes[2].operation == "LlmFilter"
 
     def test_model_selection_per_policy(self):
         plan = plan_from(SIMPLE_PLAN)
         for policy, expected in ((QUALITY_POLICY, "sim-large"), (COST_POLICY, "sim-small")):
-            optimized, _ = LunaOptimizer(policy).optimize(plan, {})
+            optimized, _, _ = CostBasedOptimizer(policy).optimize_with_report(plan, {})
             assert optimized.nodes[1].params["model"] == expected
 
     def test_original_plan_not_mutated(self):
         plan = plan_from(SIMPLE_PLAN)
-        LunaOptimizer(BALANCED_POLICY).optimize(plan, {})
+        CostBasedOptimizer(BALANCED_POLICY).optimize_with_report(plan, {})
         assert "model" not in plan.nodes[1].params
 
 

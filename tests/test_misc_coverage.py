@@ -5,13 +5,12 @@ import pytest
 
 from repro.docmodel import Document
 from repro.luna import (
-    COST_POLICY,
     LogicalPlan,
     Luna,
     LunaExecutor,
-    LunaOptimizer,
     generate_code,
 )
+from repro.optimizer import COST_POLICY, CostBasedOptimizer
 from repro.sycamore import SycamoreContext
 
 
@@ -118,7 +117,7 @@ class TestOptimizerChains:
                 {"operation": "Count", "inputs": [3]},
             ]
         )
-        optimized, _ = LunaOptimizer(COST_POLICY).optimize(plan, {})
+        optimized, _, _ = CostBasedOptimizer(COST_POLICY).optimize_with_report(plan, {})
         conditions = [
             n.params.get("condition")
             for n in optimized.nodes
@@ -130,16 +129,21 @@ class TestOptimizerChains:
         optimized.validate()
 
     def test_pushdown_through_multiple_basics(self):
+        # A relevance query keeps scan-filter folding from absorbing the
+        # first pushed-down filter.
         plan = LogicalPlan.from_json(
             [
-                {"operation": "QueryIndex", "inputs": [], "index": "i"},
+                {"operation": "QueryIndex", "inputs": [], "index": "i",
+                 "query": "x"},
                 {"operation": "LlmFilter", "inputs": [0], "condition": "x"},
                 {"operation": "BasicFilter", "inputs": [1], "field": "a", "op": "eq", "value": 1},
                 {"operation": "BasicFilter", "inputs": [2], "field": "b", "op": "eq", "value": 2},
                 {"operation": "Count", "inputs": [3]},
             ]
         )
-        optimized, _ = LunaOptimizer(COST_POLICY).optimize(plan, {"a": "int", "b": "int"})
+        optimized, _, _ = CostBasedOptimizer(COST_POLICY).optimize_with_report(
+            plan, {"a": "int", "b": "int"}
+        )
         operations = [n.operation for n in optimized.nodes[1:4]]
         assert operations == ["BasicFilter", "BasicFilter", "LlmFilter"]
         # Relative order of the two structured filters is preserved.
@@ -181,7 +185,8 @@ class TestFollowUpQueries:
     """§6.1 iterative refinement: questions about the previous answer."""
 
     def _luna(self, indexed_context):
-        from repro.luna import Luna, OptimizerPolicy
+        from repro.luna import Luna
+        from repro.optimizer import OptimizerPolicy
 
         oracle = OptimizerPolicy(
             name="oracle",

@@ -28,18 +28,16 @@ from repro.luna.operators import (
     LogicalPlan,
     PlanNode,
 )
-from repro.luna.optimizer import (
+from repro.optimizer import (
     CASCADE_POLICY,
+    DEFAULT_SOURCE_ROWS,
     POLICIES,
     QUALITY_POLICY,
-    LunaOptimizer,
-)
-from repro.optimizer import (
-    DEFAULT_SOURCE_ROWS,
     SELECTIVITY_PRIORS,
     TOKEN_PROFILES,
     CostBasedOptimizer,
     CostModel,
+    OptimizerReport,
     StatsStore,
     node_model_key,
     node_signature,
@@ -343,6 +341,36 @@ class TestRewrites:
         )
         optimized2, _, _ = opt.optimize_with_report(p2, schema=SCHEMA)
         assert "filter_field" not in optimized2.nodes[0].params
+
+    def test_cold_policy_runs_plan_as_written(self):
+        """Pushdown and substitution disabled: no rewrite fires, even on a
+        plan every rule family could otherwise touch."""
+        cold = dataclasses.replace(
+            QUALITY_POLICY,
+            name="cold",
+            enable_pushdown=False,
+            enable_string_substitution=False,
+        )
+        p = plan(
+            node("QueryIndex", index="ntsb"),
+            node("LlmFilter", [0], condition="weather related incidents"),
+            node("LlmFilter", [1], condition="caused by wind"),
+            node("BasicFilter", [2], field="incident_year", op="eq", value=2022),
+            node("Count", [3]),
+        )
+        _, _, balanced = CostBasedOptimizer("balanced").optimize_with_report(
+            p, schema=SCHEMA
+        )
+        assert balanced.rewrites  # the probe plan is rewritable
+        optimized, log, report = CostBasedOptimizer(cold).optimize_with_report(
+            p, schema=SCHEMA
+        )
+        assert [n.operation for n in optimized.nodes] == [
+            n.operation for n in p.nodes
+        ]
+        assert [n.inputs for n in optimized.nodes] == [n.inputs for n in p.nodes]
+        assert report.rewrites == []
+        assert log and all(line.startswith("model:") for line in log)
 
     def test_reorder_runs_learned_selective_filter_first(self):
         store = StatsStore()
@@ -684,6 +712,25 @@ class TestLunaIntegration:
         assert report.actual_llm_calls == result.trace.total_llm_calls()
         assert "Optimizer report" in result.explain()
 
+    def test_every_execution_carries_a_report(self, indexed_context):
+        custom = dataclasses.replace(
+            QUALITY_POLICY, name="custom", enable_pushdown=False
+        )
+        for policy in [*POLICIES.values(), custom]:
+            result = Luna(indexed_context, policy=policy).execute_plan(
+                QUESTION,
+                "ntsb",
+                plan(
+                    node("QueryIndex", index="ntsb"),
+                    node("LlmFilter", [0], condition="incidents wind"),
+                    node("Count", [1]),
+                ),
+            )
+            report = result.trace.optimizer_report
+            assert isinstance(report, OptimizerReport), policy.name
+            assert report.policy == policy.name
+            assert report.actual_llm_calls == result.trace.total_llm_calls()
+
     def test_reorder_is_byte_identical_and_cheaper(self, indexed_context):
         """Cold (no rewrites) vs cost-optimized execution of the same
         hand-built plan: the LLM predicate is written first, the free
@@ -707,9 +754,9 @@ class TestLunaIntegration:
                 node("Count", [2]),
             )
 
-        cold = Luna(
-            indexed_context, optimizer=LunaOptimizer(cold_policy)
-        ).execute_plan(QUESTION, "ntsb", build())
+        cold = Luna(indexed_context, policy=cold_policy).execute_plan(
+            QUESTION, "ntsb", build()
+        )
         optimized = Luna(indexed_context, policy="quality").execute_plan(
             QUESTION, "ntsb", build()
         )

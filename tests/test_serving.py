@@ -29,9 +29,10 @@ from repro.execution.materialize import (
 )
 from repro.indexes.catalog import IndexCatalog
 from repro.llm import ReliableLLM, SimulatedLLM
-from repro.luna import Luna
+from repro.luna import LUNA_ERROR_POLICIES, Luna
 from repro.luna.planner import LunaPlanner
 from repro.observability import MetricsRegistry, Tracer
+from repro.optimizer import POLICIES
 from repro.partitioner import ArynPartitioner
 from repro.serving import (
     COALESCED,
@@ -413,6 +414,18 @@ def _gate_planner(monkeypatch):
 
     monkeypatch.setattr(LunaPlanner, "plan", gated_plan)
     return gate, entered
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("field", ["policy", "error_policy"])
+    def test_unknown_policy_rejected_at_construction(self, field):
+        with pytest.raises(ValueError, match=f"unknown {field} 'nope'"):
+            ServiceConfig(**{field: "nope"})
+
+    def test_known_policies_accepted(self):
+        for policy in POLICIES:
+            for error_policy in LUNA_ERROR_POLICIES:
+                ServiceConfig(policy=policy, error_policy=error_policy)
 
 
 class TestAdmissionControl:
